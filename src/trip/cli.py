@@ -157,34 +157,34 @@ def _cmd_fit(args) -> int:
     attr_cols = [attr_cols[pos] for pos in kept]
     cards = [int(attrs[:, pos].max()) + 1 for pos in range(len(attr_cols))]
 
-    config = FitConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        reinit_period_epochs=args.reinit_period,
-        seed=args.seed,
-    )
-
     def on_epoch(epoch: int, nll: float) -> None:
         print(f"{epoch},{_fmt(nll)}")
 
-    if attr_cols:
-        names = [
-            header[i] if header else f"attr{pos}"
-            for pos, i in enumerate(attr_cols)
-        ]
-        model = fit_joint_mle(
-            latents,
-            attrs,
-            cards,
-            args.components,
-            args.core_size,
-            config,
-            attribute_names=names,
-            on_epoch=on_epoch,
+    names = [header[i] if header else f"attr{pos}" for pos, i in enumerate(attr_cols)]
+    # the data is parsed and checked above, so a ValueError here names a bad flag
+    try:
+        config = FitConfig(
+            learning_rate=args.lr,
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            reinit_period_epochs=args.reinit_period,
+            seed=args.seed,
         )
-    else:
-        model = fit_mle(latents, args.components, args.core_size, config, on_epoch)
+        if attr_cols:
+            model = fit_joint_mle(
+                latents,
+                attrs,
+                cards,
+                args.components,
+                args.core_size,
+                config,
+                attribute_names=names,
+                on_epoch=on_epoch,
+            )
+        else:
+            model = fit_mle(latents, args.components, args.core_size, config, on_epoch)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     save_model(model, args.out)
     return EXIT_OK
 
@@ -232,6 +232,8 @@ def _parse_given(text: str, model) -> dict[int, int]:
 def _cmd_sample(args) -> int:
     model = load_model(args.model)
     rng = np.random.default_rng(args.seed)
+    if args.n < 0:
+        raise UsageError(f"-n must be >= 0, got {args.n}")
     if args.resample_dims is not None:
         if not isinstance(model, TripModel):
             raise UsageError("--resample-dims requires a continuous model")
@@ -240,9 +242,15 @@ def _cmd_sample(args) -> int:
         if args.start is None:
             raise UsageError("--resample-dims requires --from")
         dims = _parse_index_list(args.resample_dims, "--resample-dims")
-        start = [float(tok) for tok in args.start.split(",")]
-        if len(start) != model.d:
-            raise UsageError(f"--from must list {model.d} values")
+        for k in dims:
+            if not 0 <= k < model.d:
+                raise UsageError(f"--resample-dims index {k} out of range for d={model.d}")
+        try:
+            start = [float(tok) for tok in args.start.split(",")]
+        except ValueError as exc:
+            raise UsageError(f"bad --from: {args.start!r}") from exc
+        if len(start) != model.d or not np.all(np.isfinite(start)):
+            raise UsageError(f"--from must list {model.d} finite values")
         current = np.asarray(start, dtype=float)
         for _ in range(args.n):
             current = model.conditional_resample(current, dims, rng=rng)
@@ -297,8 +305,13 @@ def _cmd_logprob(args) -> int:
                 cell = row[col].strip()
                 if col in marginal or cell == args.missing_token:
                     attrs[r, i] = -1
-                else:
-                    attrs[r, i] = _parse_int(cell, ln)
+                    continue
+                attrs[r, i] = _parse_int(cell, ln)
+                if not 0 <= attrs[r, i] < model.cardinalities[i]:
+                    raise DataError(
+                        f"line {ln}: attribute {model.attribute_names[i]!r} value "
+                        f"{attrs[r, i]} out of range (cardinality {model.cardinalities[i]})"
+                    )
         logps = model.log_joints(latent_dims, z, attrs)
     elif isinstance(model, TripModel):
         if ncols != model.d:

@@ -7,7 +7,9 @@ traces of :class:`~trip.cores.CoreSet`. Because the weight tensor never has
 to be materialized, marginals, one-dimensional conditionals, and chain-rule
 sampling all cost a single pass around the ring.
 
-An observed dimension contributes the matrix
+Each dimension is a :class:`GaussianPosition` of the ring engine
+(:mod:`trip.ring`), which does every walk; this module defines how such a
+position is observed and drawn. An observed dimension contributes the matrix
 ``sum_k |Q[k]| * pdf(z | mean_k, std_k)`` to the ring product; a marginalized
 dimension contributes the plain slice sum. Gaussian values are computed in
 log space and shifted by their per-dimension maximum before exponentiation,
@@ -18,11 +20,13 @@ produce finite log-densities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chain import chain_logtrace, suffix_products
+from . import ring
+from .chain import chain_logtrace
 from .cores import CoreSet, _as_rng
 from .errors import ConditionOnNullError, CoreShapeError
 
@@ -65,6 +69,20 @@ def observed_matrix(abs_core, z_col, means, log_stds):
     """
     weights, shift = _component_weights(z_col, means, log_stds)
     return np.einsum("kab,ik->iab", abs_core, weights), shift
+
+
+@dataclass
+class GaussianPosition(ring.Categorical):
+    """A ring position whose slices are Gaussian components of one dimension."""
+
+    means: np.ndarray
+    log_stds: np.ndarray
+
+    def observe(self, col: np.ndarray) -> ring.Item:
+        return observed_matrix(self.abs_core, col, self.means, self.log_stds)
+
+    def draw(self, idx: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        return self.means[idx] + np.exp(self.log_stds[idx]) * gen.standard_normal(idx.shape[0])
 
 
 @dataclass(frozen=True)
@@ -162,6 +180,13 @@ class TripModel:
     def stds(self) -> tuple[np.ndarray, ...]:
         return tuple(np.exp(ls) for ls in self._log_stds)
 
+    @cached_property
+    def _ring(self) -> list[GaussianPosition]:
+        return [
+            GaussianPosition(p.core, p.abs_core, p.summed, mu, ls)
+            for p, mu, ls in zip(self._cores._ring, self._means, self._log_stds)
+        ]
+
     def __repr__(self) -> str:
         return (
             f"TripModel(d={self.d}, component_counts={self.component_counts}, "
@@ -211,56 +236,11 @@ class TripModel:
         col = {k: pos for pos, k in enumerate(dims)}
         if col and not all(0 <= k < self.d for k in col):
             raise ValueError("dimension index out of range")
-        items = []
-        for k in range(self.d):
-            if k in col:
-                items.append(
-                    observed_matrix(
-                        self._cores.abs_cores[k],
-                        values[:, col[k]],
-                        self._means[k],
-                        self._log_stds[k],
-                    )
-                )
-            else:
-                items.append((self._cores.summed_cores[k], 0.0))
-        return chain_logtrace(items, values.shape[0]) - self._cores.log_normalizer
+        cols = [values[:, col[k]] if k in col else None for k in range(self.d)]
+        logp = chain_logtrace(ring.items(self._ring, cols), values.shape[0])
+        return logp - self._cores.log_normalizer
 
     # -- conditionals and sampling ---------------------------------------------
-    def _fixed_matrix(self, k: int, z: float) -> np.ndarray:
-        mats, _ = observed_matrix(
-            self._cores.abs_cores[k],
-            np.array([z]),
-            self._means[k],
-            self._log_stds[k],
-        )
-        return mats[0]
-
-    def _mixture_weights(self, k: int, observed: dict[int, float]) -> np.ndarray:
-        """p(component of dimension k | observed values), normalized."""
-        mats = [
-            self._fixed_matrix(j, observed[j]) if j in observed else self._cores.summed_cores[j]
-            for j in range(self.d)
-        ]
-        prefix = np.eye(self._cores.core_sizes[0])
-        for j in range(k):
-            prefix = prefix @ mats[j]
-            scale = prefix.max()
-            if scale > 0.0:
-                prefix = prefix / scale
-        suffix = np.eye(self._cores.core_sizes[0])
-        for j in range(self.d - 1, k, -1):
-            suffix = mats[j] @ suffix
-            scale = suffix.max()
-            if scale > 0.0:
-                suffix = suffix / scale
-        t = suffix @ prefix
-        weights = np.einsum("cb,sbc->s", t, self._cores.abs_cores[k])
-        total = weights.sum()
-        if not (np.isfinite(total) and total > 0.0):
-            raise ConditionOnNullError("conditioning values carry zero mass")
-        return weights / total
-
     def conditional_mixture_weights(self, k: int, prefix: Sequence[float]) -> np.ndarray:
         """Component probabilities of dimension ``k`` given values of 0..k-1."""
         k = int(k)
@@ -270,44 +250,24 @@ class TripModel:
         if len(prefix) != k:
             raise ValueError(f"prefix must cover dimensions 0..{k - 1} exactly")
         observed = self._check_mask(dict(enumerate(prefix)))
-        return self._mixture_weights(k, observed)
+        # the component of dimension k is a categorical position observed at
+        # each of its values in turn, one row per value
+        count = self.component_counts[k]
+        positions = self._ring[:k] + [self._cores._ring[k]] + self._ring[k + 1 :]
+        cols = [np.full(count, observed[j]) for j in range(k)] + [np.arange(count)]
+        logw = chain_logtrace(ring.items(positions, cols + [None] * (self.d - k - 1)), count)
+        top = logw.max()
+        if not np.isfinite(top):
+            raise ConditionOnNullError("conditioning values carry zero mass")
+        weights = np.exp(logw - top)
+        return weights / weights.sum()
 
     def _ancestral_sample(
         self, fixed: dict[int, float], n: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Sample all dimensions not in ``fixed``, in ring order, conditioned
         on ``fixed`` and on previously drawn dimensions."""
-        mats = [
-            self._fixed_matrix(j, fixed[j]) if j in fixed else self._cores.summed_cores[j]
-            for j in range(self.d)
-        ]
-        suffix = suffix_products(mats)
-        m0 = self._cores.core_sizes[0]
-        buf = np.broadcast_to(np.eye(m0), (n, m0, m0)).copy()
-        out = np.empty((n, self.d))
-        for k in range(self.d):
-            if k in fixed:
-                out[:, k] = fixed[k]
-                buf = np.einsum("nab,bc->nac", buf, mats[k])
-            else:
-                core = self._cores.abs_cores[k]
-                t = np.einsum("ca,nab->ncb", suffix[k + 1], buf)
-                weights = np.einsum("ncb,sbc->ns", t, core)
-                totals = weights.sum(axis=1)
-                if not np.all(np.isfinite(totals) & (totals > 0.0)):
-                    raise ConditionOnNullError(
-                        "zero conditional mass encountered during sampling"
-                    )
-                cum = np.cumsum(weights, axis=1)
-                u = rng.random(n) * totals
-                idx = np.minimum((cum <= u[:, None]).sum(axis=1), core.shape[0] - 1)
-                z = self._means[k][idx] + np.exp(self._log_stds[k][idx]) * rng.standard_normal(n)
-                out[:, k] = z
-                step, _ = observed_matrix(core, z, self._means[k], self._log_stds[k])
-                buf = np.einsum("nab,nbc->nac", buf, step)
-            scale = buf.max(axis=(1, 2))
-            buf = buf / np.where(scale > 0.0, scale, 1.0)[:, None, None]
-        return out
+        return ring.sample(self._ring, fixed, n, rng)
 
     def sample(self, *, rng: "int | np.random.Generator") -> np.ndarray:
         """Draw one vector by per-dimension chain-rule sampling."""

@@ -20,8 +20,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chain import chain_logtrace, suffix_products
-from .errors import ConditionOnNullError, CoreShapeError, DegenerateDistributionError
+from . import ring
+from .chain import chain_logtrace
+from .errors import ConditionOnNullError, CoreShapeError
 
 # Observed entries of a partial assignment; absent variables are marginalized.
 AssignmentMask = Mapping[int, int]
@@ -85,28 +86,25 @@ class CoreSet:
         return tuple(c.shape[1] for c in self._cores)
 
     @cached_property
-    def abs_cores(self) -> tuple[np.ndarray, ...]:
-        out = tuple(np.abs(c) for c in self._cores)
-        for a in out:
-            a.flags.writeable = False
+    def _ring(self) -> list[ring.Categorical]:
+        out = [ring.Categorical.of(c) for c in self._cores]
+        for p in out:
+            p.abs_core.flags.writeable = False
+            p.summed.flags.writeable = False
         return out
 
-    @cached_property
+    @property
+    def abs_cores(self) -> tuple[np.ndarray, ...]:
+        return tuple(p.abs_core for p in self._ring)
+
+    @property
     def summed_cores(self) -> tuple[np.ndarray, ...]:
         """Per-variable sum of absolute slices, used to marginalize exactly."""
-        out = tuple(a.sum(axis=0) for a in self.abs_cores)
-        for a in out:
-            a.flags.writeable = False
-        return out
+        return tuple(p.summed for p in self._ring)
 
     @cached_property
     def log_normalizer(self) -> float:
-        value = float(chain_logtrace(((m, 0.0) for m in self.summed_cores), 1)[0])
-        if not np.isfinite(value):
-            raise DegenerateDistributionError(
-                "all effective core entries are zero; the ring has no mass"
-            )
-        return value
+        return ring.log_normalizer(self._ring)
 
     def __repr__(self) -> str:
         return (
@@ -167,13 +165,8 @@ class CoreSet:
             self._check_mask({k: int(values[:, pos].min())})
             self._check_mask({k: int(values[:, pos].max())})
         col = {k: pos for pos, k in enumerate(dims)}
-        items = []
-        for k in range(self.d):
-            if k in col:
-                items.append((self.abs_cores[k][values[:, col[k]]], 0.0))
-            else:
-                items.append((self.summed_cores[k], 0.0))
-        return chain_logtrace(items, values.shape[0]) - self.log_normalizer
+        cols = [values[:, col[k]] if k in col else None for k in range(self.d)]
+        return chain_logtrace(ring.items(self._ring, cols), values.shape[0]) - self.log_normalizer
 
     def log_conditional(self, observed: AssignmentMask, given: AssignmentMask) -> float:
         """log p(observed | given) as a difference of marginals."""
@@ -203,38 +196,7 @@ class CoreSet:
     ) -> np.ndarray:
         """Draw ``n`` assignments; unobserved variables are sampled in ring
         order from their exact one-variable conditionals."""
-        gen = _as_rng(rng)
         given = dict(given or {})
         self._check_mask(given, "given")
-        if self.log_marginal(given) == -np.inf:
-            raise ConditionOnNullError("conditioning event has probability zero")
-
-        fixed_mats = [
-            self.abs_cores[k][given[k]] if k in given else self.summed_cores[k]
-            for k in range(self.d)
-        ]
-        suffix = suffix_products(fixed_mats)
-        m0 = fixed_mats[0].shape[0]
-        buf = np.broadcast_to(np.eye(m0), (n, m0, m0)).copy()
-        out = np.empty((n, self.d), dtype=int)
-        for k in range(self.d):
-            if k in given:
-                out[:, k] = given[k]
-                buf = np.einsum("nab,bc->nac", buf, fixed_mats[k])
-            else:
-                core = self.abs_cores[k]
-                t = np.einsum("ca,nab->ncb", suffix[k + 1], buf)
-                weights = np.einsum("ncb,sbc->ns", t, core)
-                totals = weights.sum(axis=1)
-                if not np.all(totals > 0.0):
-                    raise ConditionOnNullError(
-                        "zero conditional mass encountered during sampling"
-                    )
-                cum = np.cumsum(weights, axis=1)
-                u = gen.random(n) * totals
-                idx = np.minimum((cum <= u[:, None]).sum(axis=1), core.shape[0] - 1)
-                out[:, k] = idx
-                buf = np.einsum("nab,nbc->nac", buf, core[idx])
-            scale = buf.max(axis=(1, 2))
-            buf = buf / np.where(scale > 0.0, scale, 1.0)[:, None, None]
-        return out
+        self.log_normalizer  # a ring with no mass at all raises DegenerateDistributionError
+        return ring.sample(self._ring, given, n, _as_rng(rng)).astype(int)

@@ -17,10 +17,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .continuous import TripModel, gaussian_logpdf
+from .continuous import GaussianPosition, TripModel, gaussian_logpdf
 from .errors import DegenerateDistributionError, DivergenceError
-from .gradients import _AttrTerm, _GaussTerm, _weighted_chain_grad
+from .gradients import _weighted_chain_grad
 from .joint import JointModel, make_permutation
+from .ring import Categorical
 
 EpochCallback = Callable[[int, float], None]
 
@@ -142,52 +143,6 @@ def _check_data(data: np.ndarray) -> np.ndarray:
     return data
 
 
-def _run_training(
-    data_cols: np.ndarray,
-    make_terms: Callable[[np.ndarray], list],
-    params: list[np.ndarray],
-    grad_order: Callable[[list], list[np.ndarray]],
-    reinit: Callable[[], None] | None,
-    config: FitConfig,
-    rng: np.random.Generator,
-    on_epoch: EpochCallback | None,
-) -> list[float]:
-    n = data_cols.shape[0]
-    opt = _Adam(params, config)
-    history: list[float] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        total_logp = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            b = idx.shape[0]
-            try:
-                logp, grads = _weighted_chain_grad(
-                    make_terms(idx), b, np.full(b, 1.0 / b)
-                )
-            except DegenerateDistributionError as exc:
-                raise DivergenceError(epoch, f"epoch {epoch}: {exc}") from exc
-            opt.step(params, grad_order(grads))
-            total_logp += float(logp.sum())
-        nll = -total_logp / n
-        if not np.isfinite(nll):
-            raise DivergenceError(epoch)
-        history.append(nll)
-        if on_epoch is not None:
-            on_epoch(epoch, nll)
-        period = config.reinit_period_epochs
-        if reinit is not None and period > 0 and (epoch + 1) % period == 0 and epoch + 1 < config.epochs:
-            reinit()
-            opt = _Adam(params, config)
-    for i in nll_regression_epochs(history):
-        warnings.warn(
-            f"training NLL did not improve in the 10 epochs after epoch {i}",
-            stacklevel=2,
-        )
-        break
-    return history
-
-
 def fit_mle(
     data: np.ndarray,
     n_components: int,
@@ -202,46 +157,11 @@ def fit_mle(
     ``(epoch, mean_nll)`` after every epoch.
     """
     data = _check_data(data)
-    config = config or FitConfig()
-    n_components, core_size = int(n_components), int(core_size)
-    if n_components < 1 or core_size < 1:
-        raise ValueError("n_components and core_size must be >= 1")
-    d = data.shape[1]
-    rng = np.random.default_rng(config.seed)
-
-    means: list[np.ndarray] = []
-    log_stds: list[np.ndarray] = []
-    cores: list[np.ndarray] = []
-
-    def initialize() -> None:
-        for j in range(d):
-            mu, sd = fit_gmm_1d(data[:, j], n_components, rng)
-            if len(means) <= j:
-                means.append(mu)
-                log_stds.append(np.log(sd))
-                cores.append(rng.standard_normal((n_components, core_size, core_size)))
-            else:
-                means[j][:] = mu
-                log_stds[j][:] = np.log(sd)
-                cores[j][:] = rng.standard_normal((n_components, core_size, core_size))
-
-    initialize()
-    params = cores + means + log_stds
-
-    def make_terms(idx: np.ndarray) -> list:
-        batch = data[idx]
-        return [
-            _GaussTerm(cores[j], means[j], log_stds[j], batch[:, j]) for j in range(d)
-        ]
-
-    def grad_order(grads: list) -> list[np.ndarray]:
-        out = [-g.d_core for g in grads]
-        out += [-g.d_mean for g in grads]
-        out += [-g.d_log_std for g in grads]
-        return out
-
-    _run_training(data, make_terms, params, grad_order, initialize, config, rng, on_epoch)
-    return TripModel(cores, means, log_stds=log_stds)
+    n, d = data.shape
+    return fit_joint_mle(
+        data, np.empty((n, 0), dtype=int), [], n_components, core_size, config,
+        permutation=np.arange(d), on_epoch=on_epoch,
+    ).trip
 
 
 def fit_joint_mle(
@@ -283,56 +203,67 @@ def fit_joint_mle(
         permutation = make_permutation(d, c, rng)
     perm = np.asarray(permutation, dtype=int)
 
-    means: list[np.ndarray] = []
-    log_stds: list[np.ndarray] = []
-    latent_cores: list[np.ndarray] = []
-    attr_cores: list[np.ndarray] = []
+    means = [np.empty(n_components) for _ in range(d)]
+    log_stds = [np.empty(n_components) for _ in range(d)]
+    latent_cores = [np.empty((n_components, core_size, core_size)) for _ in range(d)]
+    attr_cores = [np.empty((cv, core_size, core_size)) for cv in cards]
 
     def initialize() -> None:
         for j in range(d):
             mu, sd = fit_gmm_1d(latents[:, j], n_components, rng)
-            if len(means) <= j:
-                means.append(mu)
-                log_stds.append(np.log(sd))
-                latent_cores.append(
-                    rng.standard_normal((n_components, core_size, core_size))
-                )
-            else:
-                means[j][:] = mu
-                log_stds[j][:] = np.log(sd)
-                latent_cores[j][:] = rng.standard_normal(
-                    (n_components, core_size, core_size)
-                )
+            means[j][:] = mu
+            log_stds[j][:] = np.log(sd)
+            latent_cores[j][:] = rng.standard_normal((n_components, core_size, core_size))
         for i, cv in enumerate(cards):
-            if len(attr_cores) <= i:
-                attr_cores.append(rng.standard_normal((cv, core_size, core_size)))
-            else:
-                attr_cores[i][:] = rng.standard_normal((cv, core_size, core_size))
+            attr_cores[i][:] = rng.standard_normal((cv, core_size, core_size))
 
     initialize()
     params = latent_cores + attr_cores + means + log_stds
 
-    def make_terms(idx: np.ndarray) -> list:
-        batch_z = latents[idx]
-        batch_y = attributes[idx]
-        terms = []
-        for v in perm:
-            if v < d:
-                terms.append(
-                    _GaussTerm(latent_cores[v], means[v], log_stds[v], batch_z[:, v])
-                )
-            else:
-                terms.append(_AttrTerm(attr_cores[v - d], batch_y[:, v - d]))
-        return terms
+    def position(p: int) -> Categorical:
+        v = perm[p]
+        if v < d:
+            return GaussianPosition.of(latent_cores[v], means[v], log_stds[v])
+        return Categorical.of(attr_cores[v - d])
 
-    def grad_order(grads: list) -> list[np.ndarray]:
-        by_var = {int(v): g for v, g in zip(perm, grads)}
-        out = [-by_var[v].d_core for v in range(d)]
-        out += [-by_var[d + i].d_core for i in range(c)]
-        out += [-by_var[v].d_mean for v in range(d)]
-        out += [-by_var[v].d_log_std for v in range(d)]
-        return out
-
-    _run_training(latents, make_terms, params, grad_order, initialize, config, rng, on_epoch)
+    n = latents.shape[0]
+    opt = _Adam(params, config)
+    history: list[float] = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        total_logp = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            b = idx.shape[0]
+            batch_z, batch_y = latents[idx], attributes[idx]
+            cols = [batch_z[:, v] if v < d else batch_y[:, v - d] for v in perm]
+            try:
+                logp, grads = _weighted_chain_grad(position, cols, b, np.full(b, 1.0 / b))
+            except DegenerateDistributionError as exc:
+                raise DivergenceError(epoch, f"epoch {epoch}: {exc}") from exc
+            by_var = {int(v): g for v, g in zip(perm, grads)}
+            opt.step(
+                params,
+                [-by_var[v].d_core for v in range(d + c)]
+                + [-by_var[v].d_mean for v in range(d)]
+                + [-by_var[v].d_log_std for v in range(d)],
+            )
+            total_logp += float(logp.sum())
+        nll = -total_logp / n
+        if not np.isfinite(nll):
+            raise DivergenceError(epoch)
+        history.append(nll)
+        if on_epoch is not None:
+            on_epoch(epoch, nll)
+        period = config.reinit_period_epochs
+        if period > 0 and (epoch + 1) % period == 0 and epoch + 1 < config.epochs:
+            initialize()
+            opt = _Adam(params, config)
+    for i in nll_regression_epochs(history):
+        warnings.warn(
+            f"training NLL did not improve in the 10 epochs after epoch {i}",
+            stacklevel=2,
+        )
+        break
     trip = TripModel(latent_cores, means, log_stds=log_stds)
     return JointModel(trip, attr_cores, perm, attribute_names)

@@ -2,10 +2,13 @@
 
 The log-density is ``log Tr(prod_j M_j) - log Tr(prod_j S_j)`` where the
 ``M_j`` are likelihood-weighted slice sums and the ``S_j`` plain slice sums.
-Reverse mode through a trace of a matrix chain is closed-form: the adjoint of
-the ``j``-th factor is the transposed product of all the others, divided by
-the trace. Both passes reuse the renormalized prefix/suffix products, so the
-gradient is as overflow-proof as the forward pass.
+Each factor comes from a position of the ring engine (:mod:`trip.ring`) and
+a column of observations, so continuous models and joint models with
+missing attributes share one gradient. Reverse mode through a trace of a
+matrix chain is closed-form: the adjoint of the ``j``-th factor is the
+transposed product of all the others, divided by the trace. The adjoints are
+built from renormalized prefix/suffix products, so the gradient is as
+overflow-proof as the forward pass.
 
 The absolute-value reparameterization of core entries contributes a factor
 ``sign(q)`` per entry, with subgradient 0 at exactly zero (parameters
@@ -19,8 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import chain_logtrace, prefix_chain, suffix_chain
-from .continuous import TripModel, _component_weights, gaussian_logpdf
+from . import ring
+from .chain import prefix_chain, suffix_chain
+from .continuous import GaussianPosition, TripModel, _component_weights, gaussian_logpdf
 from .cores import _as_rng
 from .errors import DegenerateDistributionError
 
@@ -44,25 +48,6 @@ class GradPsi:
         return np.concatenate(parts)
 
 
-# -- ring terms ---------------------------------------------------------------
-# A term is one position of the ring chain plus enough context to route its
-# adjoint back to parameter gradients.
-
-
-@dataclass
-class _GaussTerm:
-    core: np.ndarray  # stored values, signs intact
-    means: np.ndarray
-    log_stds: np.ndarray
-    z: np.ndarray  # (n,)
-
-
-@dataclass
-class _AttrTerm:
-    core: np.ndarray
-    values: np.ndarray  # (n,) ints, -1 marks a missing (marginalized) value
-
-
 @dataclass
 class _TermGrad:
     d_core: np.ndarray
@@ -70,20 +55,13 @@ class _TermGrad:
     d_log_std: np.ndarray | None = None
 
 
-def _forward_item(term) -> tuple[np.ndarray, "np.ndarray | float", np.ndarray | None]:
-    """Ring matrices for a term: ``(mats, logshift, gauss_weights)``."""
-    abs_core = np.abs(term.core)
-    if isinstance(term, _GaussTerm):
-        weights, shift = _component_weights(term.z, term.means, term.log_stds)
-        return np.einsum("kab,nk->nab", abs_core, weights), shift, weights
-    summed = abs_core.sum(axis=0)
-    observed = term.values >= 0
-    if not observed.any():
-        return summed, 0.0, None
-    mats = np.empty((term.values.shape[0],) + summed.shape)
-    mats[~observed] = summed
-    mats[observed] = abs_core[term.values[observed]]
-    return mats, 0.0, None
+def _forward_item(position, col) -> tuple[np.ndarray, "np.ndarray | float", np.ndarray | None]:
+    """One term's ring matrices ``(mats, logshift)`` and, for an observed
+    Gaussian position, the component weights the gradient reuses."""
+    if not isinstance(position, GaussianPosition):
+        return (*ring.matrices(position, col), None)
+    weights, shift = _component_weights(col, position.means, position.log_stds)
+    return np.einsum("kab,nk->nab", position.abs_core, weights), shift, weights
 
 
 def _adjoints(
@@ -111,64 +89,65 @@ def _adjoints(
 
 
 def _weighted_chain_grad(
-    terms: Sequence, n: int, row_weights: np.ndarray
+    position: Callable[[int], ring.Categorical], cols: Sequence, n: int, row_weights: np.ndarray
 ) -> tuple[np.ndarray, list[_TermGrad]]:
     """Log-probabilities and the weighted sum of per-row parameter gradients.
 
     Computes ``sum_i row_weights[i] * grad log p(row_i)`` together with the
-    per-row log-probabilities of the normalized chain.
+    per-row log-probabilities of the normalized chain. ``position(j)``
+    returns ring position ``j`` and ``cols[j]`` its observations (``-1``
+    marks a missing categorical value). Each position is asked for once in
+    the forward pass and once for its parameter gradient, so a caller may
+    build positions on demand and no ``|Q|`` copy outlives its use.
     """
-    forwards = [_forward_item(t) for t in terms]
+    forwards, norm_items = [], []
+    for j, col in enumerate(cols):
+        pos = position(j)
+        forwards.append(_forward_item(pos, col))
+        norm_items.append((pos.summed, 0.0))
     items = [(mats, shift) for mats, shift, _ in forwards]
     logtrace, adj = _adjoints(items, n, row_weights)
 
-    norm_items = [(np.abs(t.core).sum(axis=0), 0.0) for t in terms]
     total_weight = np.array([row_weights.sum()])
     lognorm, norm_adj = _adjoints(norm_items, 1, total_weight)
     logp = logtrace - lognorm[0]
 
     grads = []
-    for term, (mats, _, gauss_w), g, h in zip(terms, forwards, adj, norm_adj):
-        abs_grad = np.zeros_like(term.core)
-        if isinstance(term, _GaussTerm):
-            u = np.einsum("nab,kab->nk", g, np.abs(term.core))
+    for j, ((_, _, gauss_w), g, h) in enumerate(zip(forwards, adj, norm_adj)):
+        pos, col = position(j), cols[j]
+        abs_grad = np.zeros_like(pos.core)
+        if gauss_w is not None:
+            u = np.einsum("nab,kab->nk", g, pos.abs_core)
             e = u * gauss_w
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 # blown-up parameters land here with inf/nan, which the
                 # divergence check downstream turns into a clear error
-                stds = np.exp(term.log_stds)
-                zc = (term.z[:, None] - term.means[None, :]) / stds[None, :]
+                stds = np.exp(pos.log_stds)
+                zc = (col[:, None] - pos.means[None, :]) / stds[None, :]
                 d_mean = np.einsum("nk,nk->k", e, zc / stds[None, :])
                 d_log_std = np.einsum("nk,nk->k", e, zc * zc - 1.0)
             abs_grad += np.einsum("nab,nk->kab", g, gauss_w)
             abs_grad -= h[0]
-            grads.append(_TermGrad(np.sign(term.core) * abs_grad, d_mean, d_log_std))
+            grads.append(_TermGrad(np.sign(pos.core) * abs_grad, d_mean, d_log_std))
         else:
-            observed = term.values >= 0
+            observed = col >= 0
             if observed.any():
-                np.add.at(abs_grad, term.values[observed], g[observed])
+                np.add.at(abs_grad, col[observed], g[observed])
             if (~observed).any():
                 abs_grad += g[~observed].sum(axis=0)
             abs_grad -= h[0]
-            grads.append(_TermGrad(np.sign(term.core) * abs_grad))
+            grads.append(_TermGrad(np.sign(pos.core) * abs_grad))
     return logp, grads
 
 
-def _gauss_terms(
-    cores: Sequence[np.ndarray],
-    means: Sequence[np.ndarray],
-    log_stds: Sequence[np.ndarray],
-    samples: np.ndarray,
-) -> list[_GaussTerm]:
-    return [
-        _GaussTerm(cores[k], means[k], log_stds[k], samples[:, k])
-        for k in range(len(cores))
-    ]
-
-
-def _model_terms(model: TripModel, samples: np.ndarray) -> list[_GaussTerm]:
-    return _gauss_terms(
-        [c for c in model.cores.cores], list(model.means), list(model.log_stds), samples
+def _model_grad(model: TripModel, samples: np.ndarray, row_weights: np.ndarray):
+    cols = [samples[:, k] for k in range(model.d)]
+    n = samples.shape[0]
+    logp, grads = _weighted_chain_grad(model._ring.__getitem__, cols, n, row_weights)
+    return logp, GradPsi(
+        d_cores=[g.d_core for g in grads],
+        d_means=[g.d_mean for g in grads],
+        d_log_stds=[g.d_log_std for g in grads],
     )
 
 
@@ -179,12 +158,8 @@ def grad_log_density(model: TripModel, z: Sequence[float]) -> tuple[float, GradP
         raise ValueError(f"z must have length d={model.d}")
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite")
-    logp, grads = _weighted_chain_grad(_model_terms(model, z), 1, np.ones(1))
-    return float(logp[0]), GradPsi(
-        d_cores=[g.d_core for g in grads],
-        d_means=[g.d_mean for g in grads],
-        d_log_stds=[g.d_log_std for g in grads],
-    )
+    logp, grad = _model_grad(model, z, np.ones(1))
+    return float(logp[0]), grad
 
 
 def reinforce_grad(
@@ -208,12 +183,7 @@ def reinforce_grad(
         weights = np.zeros(scores.shape[0])
     else:
         weights = (scores - scores.mean()) / scores.shape[0]
-    _, grads = _weighted_chain_grad(_model_terms(model, samples), samples.shape[0], weights)
-    return GradPsi(
-        d_cores=[g.d_core for g in grads],
-        d_means=[g.d_mean for g in grads],
-        d_log_stds=[g.d_log_std for g in grads],
-    )
+    return _model_grad(model, samples, weights)[1]
 
 
 def kl_and_elbo_mc(

@@ -3,9 +3,11 @@
 Attributes live in the same core ring as the latent dimensions, interleaved
 by a permutation (rings capture dependence between close neighbors better
 than between distant ones, so the interleaving matters for expressiveness,
-not for correctness). Missing attributes are never imputed: they are
-marginalized exactly by summing their core slices, both when evaluating the
-joint density and when sampling.
+not for correctness). The ring is a list of engine positions
+(:mod:`trip.ring`) in permutation order: the latents' Gaussian positions and
+one categorical position per attribute. Missing attributes are never
+imputed: they are marginalized exactly by summing their core slices, both
+when evaluating the joint density and when sampling.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chain import chain_logtrace, suffix_products
-from .continuous import ContinuousMask, TripModel, observed_matrix
+from . import ring
+from .chain import chain_logtrace
+from .continuous import ContinuousMask, TripModel
+from .continuous import observed_matrix  # noqa: F401  (a lookup site of bench/tracer.py)
 from .cores import _as_rng
-from .errors import ConditionOnNullError, CoreShapeError, DegenerateDistributionError
+from .errors import CoreShapeError
 
 # Observed attribute values; absent attributes are missing (marginalized).
 PartialAttributes = Mapping[int, int]
@@ -127,27 +131,14 @@ class JointModel:
         return self._attr_cores[v - self.d]
 
     @cached_property
-    def _abs_attr_cores(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.abs(a) for a in self._attr_cores)
-
-    @cached_property
-    def _summed_ring(self) -> list[np.ndarray]:
-        out = []
-        for v in self._perm:
-            if v < self.d:
-                out.append(self._trip.cores.summed_cores[v])
-            else:
-                out.append(self._abs_attr_cores[v - self.d].sum(axis=0))
-        return out
+    def _ring(self) -> list[ring.Categorical]:
+        attrs = [ring.Categorical.of(a) for a in self._attr_cores]
+        latents = self._trip._ring
+        return [latents[v] if v < self.d else attrs[v - self.d] for v in self._perm]
 
     @cached_property
     def log_normalizer(self) -> float:
-        value = float(chain_logtrace(((m, 0.0) for m in self._summed_ring), 1)[0])
-        if not np.isfinite(value):
-            raise DegenerateDistributionError(
-                "all effective core entries are zero; the ring has no mass"
-            )
-        return value
+        return ring.log_normalizer(self._ring)
 
     def __repr__(self) -> str:
         return (
@@ -212,32 +203,12 @@ class JointModel:
             if col.max(initial=-1) >= self.cardinalities[i] or col.min(initial=-1) < -1:
                 raise ValueError(f"attribute {i} value out of range")
         col_of = {k: pos for pos, k in enumerate(latent_dims)}
-        items = []
-        for p, v in enumerate(self._perm):
-            if v < self.d:
-                if v in col_of:
-                    items.append(
-                        observed_matrix(
-                            self._trip.cores.abs_cores[v],
-                            z_values[:, col_of[v]],
-                            self._trip.means[v],
-                            self._trip.log_stds[v],
-                        )
-                    )
-                else:
-                    items.append((self._summed_ring[p], 0.0))
-            else:
-                i = v - self.d
-                col = attr_values[:, i]
-                observed = col >= 0
-                if not observed.any():
-                    items.append((self._summed_ring[p], 0.0))
-                else:
-                    mats = np.empty((n,) + self._summed_ring[p].shape)
-                    mats[~observed] = self._summed_ring[p]
-                    mats[observed] = self._abs_attr_cores[i][col[observed]]
-                    items.append((mats, 0.0))
-        return chain_logtrace(items, n) - self.log_normalizer
+        cols = [
+            attr_values[:, v - self.d] if v >= self.d
+            else z_values[:, col_of[v]] if v in col_of else None
+            for v in self._perm
+        ]
+        return chain_logtrace(ring.items(self._ring, cols), n) - self.log_normalizer
 
     def log_attr_given_z(self, z: Sequence[float], attrs: PartialAttributes) -> float:
         """log p(observed attributes | z) for a fully observed latent vector."""
@@ -263,47 +234,11 @@ class JointModel:
         rng: "int | np.random.Generator",
     ) -> np.ndarray:
         attrs = self._check_attrs(attrs or {})
-        gen = _as_rng(rng)
-        n = int(n)
-
-        fixed_mats = []
+        fixed, summed = {}, set()
         for p, v in enumerate(self._perm):
-            if v >= self.d and (v - self.d) in attrs:
-                fixed_mats.append(self._abs_attr_cores[v - self.d][attrs[v - self.d]])
-            else:
-                fixed_mats.append(self._summed_ring[p])
-        if not np.isfinite(
-            float(chain_logtrace(((m, 0.0) for m in fixed_mats), 1)[0])
-        ):
-            raise ConditionOnNullError("observed attributes have probability zero")
-
-        suffix = suffix_products(fixed_mats)
-        m0 = fixed_mats[0].shape[0]
-        buf = np.broadcast_to(np.eye(m0), (n, m0, m0)).copy()
-        out = np.empty((n, self.d))
-        for p, v in enumerate(self._perm):
-            if v >= self.d:
-                buf = np.einsum("nab,bc->nac", buf, fixed_mats[p])
-            else:
-                core = self._trip.cores.abs_cores[v]
-                t = np.einsum("ca,nab->ncb", suffix[p + 1], buf)
-                weights = np.einsum("ncb,sbc->ns", t, core)
-                totals = weights.sum(axis=1)
-                if not np.all(np.isfinite(totals) & (totals > 0.0)):
-                    raise ConditionOnNullError(
-                        "zero conditional mass encountered during sampling"
-                    )
-                cum = np.cumsum(weights, axis=1)
-                u = gen.random(n) * totals
-                idx = np.minimum((cum <= u[:, None]).sum(axis=1), core.shape[0] - 1)
-                z = self._trip.means[v][idx] + np.exp(
-                    self._trip.log_stds[v][idx]
-                ) * gen.standard_normal(n)
-                out[:, v] = z
-                step, _ = observed_matrix(
-                    core, z, self._trip.means[v], self._trip.log_stds[v]
-                )
-                buf = np.einsum("nab,nbc->nac", buf, step)
-            scale = buf.max(axis=(1, 2))
-            buf = buf / np.where(scale > 0.0, scale, 1.0)[:, None, None]
-        return out
+            if v >= self.d and v - self.d in attrs:
+                fixed[p] = attrs[v - self.d]
+            elif v >= self.d:
+                summed.add(p)
+        draws = ring.sample(self._ring, fixed, int(n), _as_rng(rng), summed)
+        return draws[:, np.argsort(self._perm)[: self.d]]

@@ -81,9 +81,18 @@ def save_model(model, path: "str | os.PathLike") -> None:
             for name, core in zip(model.attribute_names, model.attribute_cores)
         ]
         doc["permutation"] = [int(v) for v in model.permutation]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    # write a sibling file, then rename it over the target: a crash part-way
+    # leaves the old file (or none) in place, never a truncated one
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_model(path: "str | os.PathLike"):

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import four_mode_data, random_core_set, random_trip_model
+from conftest import four_mode_data, random_core_set, random_joint_model, random_trip_model
 
 import trip
 from trip.cli import main
@@ -326,3 +326,43 @@ class TestInspectAndVerify:
     def test_usage_error_on_unknown_command(self, capsys):
         code, _, _ = run(capsys, "trampoline")
         assert code == 1
+
+
+FIT = ["fit", "--data", "{data}", "--components", "2", "--core-size", "2", "--out", "{out}"]
+RESAMPLE = ["sample", "--model", "{cont3}", "-n", "2", "--seed", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["sample", "--model", "{cont3}", "-n", "-3", "--seed", "0"], 1),
+        (FIT + ["--components", "0"], 1),
+        (FIT + ["--core-size", "0"], 1),
+        (FIT + ["--epochs", "0"], 1),
+        (FIT + ["--batch-size", "0"], 1),
+        (FIT + ["--lr", "-1"], 1),
+        (FIT + ["--reinit-period", "-1"], 1),
+        (RESAMPLE + ["--resample-dims", "-1", "--from", "1,2,3"], 1),
+        (RESAMPLE + ["--resample-dims", "7", "--from", "1,2,3"], 1),
+        (RESAMPLE + ["--resample-dims", "0", "--from", "a,b,c"], 1),
+        (RESAMPLE + ["--resample-dims", "0", "--from", "1,2,inf"], 1),
+        (["logprob", "--model", "{joint}", "--data", "{joint_rows}"], 2),
+    ],
+    ids=[
+        "sample-n", "fit-components", "fit-core-size", "fit-epochs", "fit-batch-size", "fit-lr",
+        "fit-reinit-period", "resample-negative", "resample-past-d", "from-text", "from-inf",
+        "logprob-attribute-past-cardinality",
+    ],
+)
+def test_bad_input_ends_in_exit_code(argv, code, tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    names = ("cont3", "joint", "data", "joint_rows", "out")
+    paths = {name: str(tmp_path / name) for name in names}
+    save_model(random_trip_model(rng, [2, 2, 2]), paths["cont3"])
+    save_model(random_joint_model(rng, [2, 2], [2]), paths["joint"])
+    write_csv(tmp_path / "data", rng.normal(size=(20, 3)).tolist())
+    write_csv(tmp_path / "joint_rows", [[0.1, 0.2, 1], [0.3, 0.4, 5]])
+    got, _, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert got == code
+    assert err.startswith("usage error:" if code == 1 else "data error: line 2:")
+    assert "Traceback" not in err

@@ -224,3 +224,5 @@ class TestSampling:
         cs = trip.CoreSet([np.ones((2, 1, 1)), np.array([[[1.0]], [[0.0]]])])
         with pytest.raises(trip.ConditionOnNullError):
             cs.sample({1: 1}, rng=0)
+        with pytest.raises(trip.ConditionOnNullError):  # no position left to draw
+            cs.sample({0: 0, 1: 1}, rng=0)

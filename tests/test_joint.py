@@ -254,6 +254,27 @@ class TestSampleGivenAttrs:
         )
 
 
+class TestStability:
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_mixed_ring_core_rescaling(self, scale):
+        rng = np.random.default_rng(21)
+        jm = random_joint_model(rng, [2, 3, 2], [2, 3])
+        cores = [c * scale if k == 1 else c for k, c in enumerate(jm.trip.cores.cores)]
+        attrs = [a * scale if i == 0 else a for i, a in enumerate(jm.attribute_cores)]
+        latent = trip.TripModel(cores, jm.trip.means, log_stds=jm.trip.log_stds)
+        scaled = trip.JointModel(latent, attrs, jm.permutation)
+        z = rng.normal(size=(6, 3))
+        y = np.array([[0, -1], [1, 2], [-1, 0], [-1, -1], [1, 1], [0, 2]])
+        for dims in ([0, 1, 2], [0, 2]):
+            got = scaled.log_joints(dims, z[:, dims], y)
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, jm.log_joints(dims, z[:, dims], y), rtol=0, atol=1e-12)
+        _, want = trip.grad_log_density(jm.trip, z[0])
+        _, got = trip.grad_log_density(scaled.trip, z[0])
+        for a, b in zip(got.d_means + got.d_log_stds, want.d_means + want.d_log_stds):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
 class TestJointFitting:
     def test_learns_attribute_correlation_with_missing_labels(self):
         rng = np.random.default_rng(20)

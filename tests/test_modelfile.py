@@ -140,3 +140,19 @@ class TestValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(trip.ModelFormatError):
             load_model(path)
+
+
+def test_failed_save_keeps_old_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(9)
+    path = tmp_path / "model.json"
+    save_model(random_trip_model(rng, [2, 2]), path)
+    before = path.read_bytes()
+
+    def broken_dump(*args, **kwargs):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(RuntimeError):
+        save_model(random_trip_model(rng, [2, 2]), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
