@@ -4,31 +4,32 @@ Data moves through CSV (comma delimiter, optional header row via --header);
 models live in trip-v1 files. Sampling commands require an explicit --seed
 so every run is reproducible byte for byte.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical divergence,
-4 verification failure.
+Every command sees a model as one table of CSV columns: a continuous model's
+dimensions, a discrete model's variables, or a joint model's latents followed
+by its attributes. A real column takes finite floats; a categorical column
+takes 0..C-1, or --missing-token, which sums that column out for the row.
+``fit`` reads the same cells, with --attr-cols naming its categorical
+columns. ``sample --given`` fixes categorical columns by name: attribute
+names on a joint model, variable indices on a discrete one.
+
+Exit codes: 0 success, 1 usage error (an --out that cannot be written fails
+before fitting), 2 data error, 3 numerical divergence, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
+import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
-from .continuous import TripModel
-from .cores import CoreSet
-from .errors import (
-    ConditionOnNullError,
-    DegenerateDistributionError,
-    DivergenceError,
-    ModelFormatError,
-    OracleSizeError,
-    TripError,
-)
+from .errors import DivergenceError, ModelFormatError, OracleSizeError, TripError
 from .fitting import FitConfig, fit_joint_mle, fit_mle
-from .joint import JointModel
-from .modelfile import load_model, save_model
+from .modelfile import load_model, model_kind, save_model
 from . import oracle
 
 EXIT_OK = 0
@@ -36,6 +37,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
 EXIT_VERIFY = 4
+
+# fit infers each attribute's cardinality, so its cells are bounded only by int64
+_INT64_CARD = int(np.iinfo(np.int64).max)
 
 
 class UsageError(Exception):
@@ -55,6 +59,91 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# -- the model view -------------------------------------------------------------
+
+
+class _View(namedtuple("_View", "columns evaluate sample resample describe params checks")):
+    """What the commands need to know about one kind of model.
+
+    ``columns`` are the CSV columns as (name, cardinality), ``None`` marking a
+    real-valued latent. ``evaluate(dims, values)`` is the log probability of
+    each row of ``values``, whose columns are the table columns ``dims`` (-1
+    in a categorical cell when missing); every other column is summed out.
+    ``sample(n, given, rng)`` draws rows of the leading columns with the
+    categorical columns in ``given`` fixed. ``resample`` is the model's
+    ``conditional_resample``, or None. ``describe`` holds the ``inspect``
+    lines above the parameter count, ``params`` the parameter arrays, and
+    ``checks()`` runs the ``verify`` checks as (name, passed) pairs.
+    """
+
+
+def _view(model) -> _View:
+    """The view of ``model``; the only code here that looks at its kind."""
+    kind = model_kind(model)
+    if kind == "discrete":
+        counts = model.category_counts
+        return _View(
+            [(str(k), card) for k, card in enumerate(counts)],
+            lambda dims, values: _log_marginals(model, dims, values),
+            lambda n, given, rng: model.sample_batch(n, given, rng=rng),
+            None,
+            ["kind: discrete", f"dimensions: {model.d}",
+             f"categories per variable: {list(counts)}", f"core sizes: {list(model.core_sizes)}"],
+            list(model.cores),
+            lambda: _verify_discrete(model),
+        )
+    trip = model.trip if kind == "joint" else model
+    latents = [(str(k), None) for k in range(trip.d)]
+    lattice = [f"components per dimension: {list(trip.component_counts)}",
+               f"core sizes: {list(trip.cores.core_sizes)}"]
+    params = [*trip.cores.cores, *trip.means, *trip.log_stds]
+    if kind == "continuous":
+        return _View(
+            latents,
+            model.log_densities,
+            lambda n, given, rng: model.sample_batch(n, rng=rng),
+            model.conditional_resample,
+            ["kind: continuous", f"dimensions: {model.d}", *lattice],
+            params,
+            lambda: _verify_continuous(model),
+        )
+    d, attrs = model.d, list(zip(model.attribute_names, model.cardinalities))
+    return _View(
+        latents + attrs,
+        lambda dims, values: _log_joints(model, dims, values),
+        lambda n, given, rng: model.sample_given_attrs_batch(
+            n, {j - d: v for j, v in given.items()}, rng=rng),
+        None,
+        ["kind: joint", f"latent dimensions: {d}", *lattice, f"attributes: {model.c}",
+         *(f"  {name}: cardinality {card}" for name, card in attrs),
+         f"ring order: {model.permutation.tolist()}"],
+        params + list(model.attribute_cores),
+        lambda: _verify_joint(model),
+    )
+
+
+def _log_marginals(model, dims: list[int], values: np.ndarray) -> np.ndarray:
+    """``CoreSet.log_marginals`` with missing (-1) cells summed out, one call
+    per pattern of missing cells."""
+    out = np.empty(len(values))
+    patterns, group = np.unique(values < 0, axis=0, return_inverse=True)
+    for g, gone in enumerate(patterns):
+        rows = group.reshape(-1) == g
+        kept = [k for k, skip in zip(dims, gone) if not skip]
+        out[rows] = model.log_marginals(kept, values[rows][:, ~gone])
+    return out
+
+
+def _log_joints(model, dims: list[int], values: np.ndarray) -> np.ndarray:
+    """``JointModel.log_joints`` on ascending table columns: the observed
+    latents come first, then the observed attributes."""
+    k = sum(j < model.d for j in dims)
+    attrs = np.full((len(values), model.c), -1)
+    for p, j in enumerate(dims[k:], start=k):
+        attrs[:, j - model.d] = values[:, p]
+    return model.log_joints(dims[:k], values[:, :k], attrs)
+
+
 # -- CSV ------------------------------------------------------------------------
 
 
@@ -63,7 +152,7 @@ def _read_rows(path: str, has_header: bool):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             raw = [(ln, row) for ln, row in enumerate(csv.reader(fh), start=1)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     header = None
     if has_header and raw:
@@ -79,24 +168,49 @@ def _read_rows(path: str, has_header: bool):
     return header, rows
 
 
-def _parse_float(cell: str, ln: int) -> float:
+def _parse_cell(cell: str, card: int | None, missing: str) -> "float | int":
+    """A real cell (``card`` None) as a finite float; a categorical cell as an
+    integer in 0..card-1, or -1 for the missing token."""
+    if card is None:
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ValueError(f"not a number: {cell!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {cell!r}")
+        return value
+    cell = cell.strip()
+    if cell == missing:
+        return -1
     try:
-        value = float(cell)
-    except ValueError as exc:
-        raise DataError(f"line {ln}: not a number: {cell!r}") from exc
-    if not np.isfinite(value):
-        raise DataError(f"line {ln}: non-finite value {cell!r}")
+        value = int(cell)
+    except ValueError:
+        raise ValueError(f"not an integer: {cell!r}") from None
+    if not 0 <= value < card:
+        raise ValueError(f"value {value} out of range 0..{card - 1}")
     return value
 
 
-def _parse_int(cell: str, ln: int) -> int:
-    try:
-        return int(cell)
-    except ValueError as exc:
-        raise DataError(f"line {ln}: not an integer: {cell!r}") from exc
+def _parse_cells(rows, columns: list[tuple[int, int | None]], missing: str) -> np.ndarray:
+    """The cells of ``columns``, given as (index, cardinality), as an
+    ``(n, len(columns))`` array, float when any column is real. Parsed row by
+    row, so the first bad line is the one reported, and streamed into the
+    array, so no row's parsed values outlive it."""
+
+    def cells():
+        for ln, row in rows:
+            try:
+                yield from [_parse_cell(row[j], card, missing) for j, card in columns]
+            except ValueError as exc:
+                raise DataError(f"line {ln}: {exc}") from exc
+
+    dtype = float if any(card is None for _, card in columns) else np.int64
+    shape = (len(rows), len(columns))
+    return np.fromiter(cells(), dtype, count=shape[0] * shape[1]).reshape(shape)
 
 
-def _parse_index_list(text: str, what: str) -> list[int]:
+def _parse_index_list(text: str, what: str, bound: int) -> list[int]:
+    """Distinct comma-separated indices, each in 0..bound-1."""
     if not text.strip():
         return []
     try:
@@ -105,6 +219,9 @@ def _parse_index_list(text: str, what: str) -> list[int]:
         raise UsageError(f"bad {what}: {text!r}") from exc
     if len(set(out)) != len(out):
         raise UsageError(f"duplicate entries in {what}: {text!r}")
+    for i in out:
+        if not 0 <= i < bound:
+            raise UsageError(f"{what} index {i} out of range for {bound} columns")
     return out
 
 
@@ -112,12 +229,13 @@ def _parse_index_list(text: str, what: str) -> list[int]:
 
 
 def _cmd_fit(args) -> int:
+    folder = os.path.dirname(args.out) or "."
+    if os.path.isdir(args.out or ".") or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise UsageError(f"cannot write --out {args.out!r}: it is a directory, "
+                         "or its directory is missing or read-only")
     header, rows = _read_rows(args.data, args.header)
     ncols = len(rows[0][1])
-    attr_cols = _parse_index_list(args.attr_cols or "", "--attr-cols")
-    for i in attr_cols:
-        if not 0 <= i < ncols:
-            raise UsageError(f"--attr-cols index {i} out of range for {ncols} columns")
+    attr_cols = _parse_index_list(args.attr_cols or "", "--attr-cols", ncols)
     latent_cols = [i for i in range(ncols) if i not in attr_cols]
     if args.dims is not None and args.dims != len(latent_cols):
         raise UsageError(
@@ -125,37 +243,16 @@ def _cmd_fit(args) -> int:
         )
     if not latent_cols:
         raise UsageError("no latent columns left after --attr-cols")
-
-    latents = np.array(
-        [[_parse_float(row[i], ln) for i in latent_cols] for ln, row in rows]
-    )
-    attrs = np.empty((len(rows), len(attr_cols)), dtype=int)
-    for pos, i in enumerate(attr_cols):
-        for r, (ln, row) in enumerate(rows):
-            cell = row[i].strip()
-            if cell == args.missing_token:
-                attrs[r, pos] = -1
-            else:
-                value = _parse_int(cell, ln)
-                if value < 0:
-                    raise DataError(f"line {ln}: negative attribute value {value}")
-                attrs[r, pos] = value
+    latents = _parse_cells(rows, [(i, None) for i in latent_cols], args.missing_token)
+    attrs = _parse_cells(rows, [(i, _INT64_CARD) for i in attr_cols], args.missing_token)
 
     # attribute columns with no observed value carry no information: drop them
-    kept, dropped = [], []
-    for pos, i in enumerate(attr_cols):
-        if (attrs[:, pos] >= 0).any():
-            kept.append(pos)
-        else:
-            dropped.append(i)
-    if dropped:
-        print(
-            f"note: dropping all-missing attribute column(s) {dropped}",
-            file=sys.stderr,
-        )
-    attrs = attrs[:, kept]
-    attr_cols = [attr_cols[pos] for pos in kept]
-    cards = [int(attrs[:, pos].max()) + 1 for pos in range(len(attr_cols))]
+    seen = (attrs >= 0).any(axis=0)
+    if not seen.all():
+        dropped = [i for i, s in zip(attr_cols, seen) if not s]
+        print(f"note: dropping all-missing attribute column(s) {dropped}", file=sys.stderr)
+    attrs, attr_cols = attrs[:, seen], [i for i, s in zip(attr_cols, seen) if s]
+    cards = [int(top) + 1 for top in attrs.max(axis=0)]
 
     def on_epoch(epoch: int, nll: float) -> None:
         print(f"{epoch},{_fmt(nll)}")
@@ -163,24 +260,11 @@ def _cmd_fit(args) -> int:
     names = [header[i] if header else f"attr{pos}" for pos, i in enumerate(attr_cols)]
     # the data is parsed and checked above, so a ValueError here names a bad flag
     try:
-        config = FitConfig(
-            learning_rate=args.lr,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            reinit_period_epochs=args.reinit_period,
-            seed=args.seed,
-        )
+        config = FitConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
+                           reinit_period_epochs=args.reinit_period, seed=args.seed)
         if attr_cols:
-            model = fit_joint_mle(
-                latents,
-                attrs,
-                cards,
-                args.components,
-                args.core_size,
-                config,
-                attribute_names=names,
-                on_epoch=on_epoch,
-            )
+            model = fit_joint_mle(latents, attrs, cards, args.components, args.core_size, config,
+                                  attribute_names=names, on_epoch=on_epoch)
         else:
             model = fit_mle(latents, args.components, args.core_size, config, on_epoch)
     except ValueError as exc:
@@ -192,7 +276,9 @@ def _cmd_fit(args) -> int:
 # -- sample -----------------------------------------------------------------------
 
 
-def _parse_given(text: str, model) -> dict[int, int]:
+def _parse_given(text: str, columns) -> dict[int, int]:
+    """--given ``name=value`` entries as {column: value} over categorical columns."""
+    index = {name: j for j, (name, card) in enumerate(columns) if card is not None}
     out: dict[int, int] = {}
     if not text.strip():
         return out
@@ -205,74 +291,55 @@ def _parse_given(text: str, model) -> dict[int, int]:
             value = int(value)
         except ValueError as exc:
             raise UsageError(f"bad --given value in {token!r}") from exc
-        if isinstance(model, JointModel):
-            if name not in model.attribute_names:
-                raise UsageError(f"unknown attribute name {name!r}")
-            idx = model.attribute_names.index(name)
-            if not 0 <= value < model.cardinalities[idx]:
-                raise UsageError(
-                    f"attribute {name!r} value {value} out of range "
-                    f"(cardinality {model.cardinalities[idx]})"
-                )
-        else:
-            try:
-                idx = int(name)
-            except ValueError as exc:
-                raise UsageError(f"unknown variable {name!r}") from exc
-            if not 0 <= idx < model.d:
-                raise UsageError(f"variable index {idx} out of range")
-            if not 0 <= value < model.category_counts[idx]:
-                raise UsageError(f"value {value} out of range for variable {idx}")
-        if idx in out:
+        if name not in index:
+            known = ", ".join(index) or "none on this model"
+            raise UsageError(f"unknown attribute or variable {name!r} (known: {known})")
+        j = index[name]
+        if not 0 <= value < columns[j][1]:
+            raise UsageError(f"--given {name}={value} out of range "
+                             f"(cardinality {columns[j][1]})")
+        if j in out:
             raise UsageError(f"duplicate --given entry for {name!r}")
-        out[idx] = value
+        out[j] = value
     return out
 
 
+def _resample_steps(args, view: _View, rng):
+    """The --resample-dims trajectory: one row per step, each redrawn from the last."""
+    if view.resample is None:
+        raise UsageError("--resample-dims requires a continuous model")
+    if args.given:
+        raise UsageError("--given cannot be combined with --resample-dims")
+    if args.start is None:
+        raise UsageError("--resample-dims requires --from")
+    d = len(view.columns)
+    dims = _parse_index_list(args.resample_dims, "--resample-dims", d)
+    try:
+        start = [float(tok) for tok in args.start.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"bad --from: {args.start!r}") from exc
+    if len(start) != d or not np.all(np.isfinite(start)):
+        raise UsageError(f"--from must list {d} finite values")
+    current = np.asarray(start, dtype=float)
+    for _ in range(args.n):
+        current = view.resample(current, dims, rng=rng)
+        yield current
+
+
 def _cmd_sample(args) -> int:
-    model = load_model(args.model)
+    view = _view(load_model(args.model))
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     if args.n < 0:
         raise UsageError(f"-n must be >= 0, got {args.n}")
-    if args.resample_dims is not None:
-        if not isinstance(model, TripModel):
-            raise UsageError("--resample-dims requires a continuous model")
-        if args.given:
-            raise UsageError("--given cannot be combined with --resample-dims")
-        if args.start is None:
-            raise UsageError("--resample-dims requires --from")
-        dims = _parse_index_list(args.resample_dims, "--resample-dims")
-        for k in dims:
-            if not 0 <= k < model.d:
-                raise UsageError(f"--resample-dims index {k} out of range for d={model.d}")
-        try:
-            start = [float(tok) for tok in args.start.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"bad --from: {args.start!r}") from exc
-        if len(start) != model.d or not np.all(np.isfinite(start)):
-            raise UsageError(f"--from must list {model.d} finite values")
-        current = np.asarray(start, dtype=float)
-        for _ in range(args.n):
-            current = model.conditional_resample(current, dims, rng=rng)
-            print(",".join(_fmt(v) for v in current))
-        return EXIT_OK
-
-    if isinstance(model, JointModel):
-        attrs = _parse_given(args.given or "", model)
-        draws = model.sample_given_attrs_batch(args.n, attrs, rng=rng)
-        for row in draws:
-            print(",".join(_fmt(v) for v in row))
-    elif isinstance(model, TripModel):
-        if args.given:
-            raise UsageError("continuous models take no --given attributes")
-        draws = model.sample_batch(args.n, rng=rng)
-        for row in draws:
-            print(",".join(_fmt(v) for v in row))
+    if args.resample_dims is None:
+        rows = view.sample(args.n, _parse_given(args.given or "", view.columns), rng)
     else:
-        given = _parse_given(args.given or "", model)
-        draws = model.sample_batch(args.n, given, rng=rng)
-        for row in draws:
-            print(",".join(str(int(v)) for v in row))
+        rows = _resample_steps(args, view, rng)
+    for row in rows:
+        print(",".join(_fmt(v) if card is None else str(int(v))
+                       for v, (_, card) in zip(row, view.columns)))
     return EXIT_OK
 
 
@@ -280,57 +347,15 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_logprob(args) -> int:
-    model = load_model(args.model)
+    view = _view(load_model(args.model))
     _, rows = _read_rows(args.data, args.header)
     ncols = len(rows[0][1])
-    marginal = set(_parse_index_list(args.marginal_dims or "", "--marginal-dims"))
-    for i in marginal:
-        if not 0 <= i < ncols:
-            raise UsageError(f"--marginal-dims index {i} out of range")
-
-    if isinstance(model, JointModel):
-        if ncols != model.d + model.c:
-            raise DataError(
-                f"expected {model.d + model.c} columns (d={model.d} latents "
-                f"+ c={model.c} attributes), got {ncols}"
-            )
-        latent_dims = [k for k in range(model.d) if k not in marginal]
-        z = np.array(
-            [[_parse_float(row[k], ln) for k in latent_dims] for ln, row in rows]
-        )
-        attrs = np.empty((len(rows), model.c), dtype=int)
-        for i in range(model.c):
-            col = model.d + i
-            for r, (ln, row) in enumerate(rows):
-                cell = row[col].strip()
-                if col in marginal or cell == args.missing_token:
-                    attrs[r, i] = -1
-                    continue
-                attrs[r, i] = _parse_int(cell, ln)
-                if not 0 <= attrs[r, i] < model.cardinalities[i]:
-                    raise DataError(
-                        f"line {ln}: attribute {model.attribute_names[i]!r} value "
-                        f"{attrs[r, i]} out of range (cardinality {model.cardinalities[i]})"
-                    )
-        logps = model.log_joints(latent_dims, z, attrs)
-    elif isinstance(model, TripModel):
-        if ncols != model.d:
-            raise DataError(f"expected {model.d} columns, got {ncols}")
-        dims = [k for k in range(model.d) if k not in marginal]
-        values = np.array([[_parse_float(row[k], ln) for k in dims] for ln, row in rows])
-        logps = model.log_densities(dims, values)
-    else:
-        if ncols != model.d:
-            raise DataError(f"expected {model.d} columns, got {ncols}")
-        dims = [k for k in range(model.d) if k not in marginal]
-        values = np.array([[_parse_int(row[k], ln) for k in dims] for ln, row in rows])
-        for pos, k in enumerate(dims):
-            bad = (values[:, pos] < 0) | (values[:, pos] >= model.category_counts[k])
-            if bad.any():
-                ln = rows[int(np.argmax(bad))][0]
-                raise DataError(f"line {ln}: value out of range for variable {k}")
-        logps = model.log_marginals(dims, values)
-
+    marginal = set(_parse_index_list(args.marginal_dims or "", "--marginal-dims", ncols))
+    if ncols != len(view.columns):
+        raise DataError(f"expected {len(view.columns)} columns, got {ncols}")
+    dims = [j for j in range(ncols) if j not in marginal]
+    values = _parse_cells(rows, [(j, view.columns[j][1]) for j in dims], args.missing_token)
+    logps = view.evaluate(dims, values)
     for i, lp in enumerate(logps):
         print(f"{i},{_fmt(lp)}")
     print(f"mean,{_fmt(np.mean(logps))}")
@@ -341,37 +366,12 @@ def _cmd_logprob(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    model = load_model(args.model)
-    if isinstance(model, JointModel):
-        print("kind: joint")
-        print(f"latent dimensions: {model.d}")
-        print(f"components per dimension: {list(model.trip.component_counts)}")
-        print(f"core sizes: {list(model.trip.cores.core_sizes)}")
-        print(f"attributes: {model.c}")
-        for name, card in zip(model.attribute_names, model.cardinalities):
-            print(f"  {name}: cardinality {card}")
-        print(f"ring order: {model.permutation.tolist()}")
-        stats = model.trip.param_stats()
-        extra = sum(int(np.prod(a.shape)) for a in model.attribute_cores)
-        count = stats.param_count + extra
-        print(f"parameters: {count}")
-        print(f"memory: {8 * count} bytes ({8 * count / 2**20:.3g} MB)")
-    elif isinstance(model, TripModel):
-        print("kind: continuous")
-        print(f"dimensions: {model.d}")
-        print(f"components per dimension: {list(model.component_counts)}")
-        print(f"core sizes: {list(model.cores.core_sizes)}")
-        stats = model.param_stats()
-        print(f"parameters: {stats.param_count}")
-        print(f"memory: {stats.memory_bytes} bytes ({stats.memory_mib:.3g} MB)")
-    else:
-        print("kind: discrete")
-        print(f"dimensions: {model.d}")
-        print(f"categories per variable: {list(model.category_counts)}")
-        print(f"core sizes: {list(model.core_sizes)}")
-        count = sum(int(np.prod(c.shape)) for c in model.cores)
-        print(f"parameters: {count}")
-        print(f"memory: {8 * count} bytes ({8 * count / 2**20:.3g} MB)")
+    view = _view(load_model(args.model))
+    count = sum(p.size for p in view.params)
+    for line in view.describe:
+        print(line)
+    print(f"parameters: {count}")
+    print(f"memory: {8 * count} bytes ({8 * count / 2**20:.3g} MB)")
     return EXIT_OK
 
 
@@ -380,113 +380,71 @@ def _cmd_inspect(args) -> int:
 _VERIFY_TOL = 1e-8
 
 
-def _rel_close(log_a: float, log_b: float, tol: float = _VERIFY_TOL) -> bool:
-    if log_a == -np.inf and log_b == -np.inf:
+def _rel_close(log_p: float, reference: float) -> bool:
+    """Whether ``log_p`` is the log of ``reference`` to relative tolerance."""
+    log_ref = np.log(reference) if reference > 0 else -np.inf
+    if log_p == -np.inf and log_ref == -np.inf:
         return True
-    return abs(np.expm1(log_a - log_b)) <= tol
+    return abs(np.expm1(log_p - log_ref)) <= _VERIFY_TOL
 
 
-def _verify_discrete(model: CoreSet) -> list[tuple[str, bool]]:
-    dense = oracle.densify(model)
-    rng = np.random.default_rng(0)
-    checks = []
-    ok = True
+def _verify_discrete(model) -> list[tuple[str, bool]]:
+    dense, rng, ok = oracle.densify(model), np.random.default_rng(0), True
+    counts = model.category_counts
     for _ in range(25):
-        mask = {
-            k: int(rng.integers(model.category_counts[k]))
-            for k in range(model.d)
-            if rng.random() < 0.6
-        }
-        reference = oracle.dense_marginal(dense, mask)
-        got = model.log_marginal(mask)
-        ok &= _rel_close(got, np.log(reference) if reference > 0 else -np.inf)
-    checks.append(("marginals match enumeration", bool(ok)))
-    ok = True
-    for k in range(model.d):
-        total = sum(
-            np.exp(model.log_marginal({k: v})) for v in range(model.category_counts[k])
-        )
-        ok &= abs(total - 1.0) <= 1e-10
-    checks.append(("single-variable marginals sum to 1", bool(ok)))
-    return checks
+        mask = {k: int(rng.integers(counts[k])) for k in range(model.d) if rng.random() < 0.6}
+        ok &= _rel_close(model.log_marginal(mask), oracle.dense_marginal(dense, mask))
+    sums = all(abs(sum(np.exp(model.log_marginal({k: v})) for v in range(c)) - 1.0) <= 1e-10
+               for k, c in enumerate(counts))
+    return [("marginals match enumeration", bool(ok)),
+            ("single-variable marginals sum to 1", sums)]
 
 
-def _verify_continuous(model: TripModel) -> list[tuple[str, bool]]:
-    weights, means, stds = oracle.enumerate_modes(model)
-    rng = np.random.default_rng(0)
-    checks = []
-    ok = True
+def _verify_continuous(model) -> list[tuple[str, bool]]:
+    _, means, stds = oracle.enumerate_modes(model)
+    rng, dens, weights = np.random.default_rng(0), True, True
     for _ in range(25):
-        z = {
-            k: float(rng.normal(np.mean(means[:, k]), 1.0 + np.mean(stds[:, k])))
-            for k in range(model.d)
-            if rng.random() < 0.7
-        }
-        reference = oracle.dense_density(model, z)
-        ok &= _rel_close(
-            model.log_density(z), np.log(reference) if reference > 0 else -np.inf
-        )
-    checks.append(("densities match mode enumeration", bool(ok)))
-    ok = True
+        z = {k: float(rng.normal(np.mean(means[:, k]), 1.0 + np.mean(stds[:, k])))
+             for k in range(model.d) if rng.random() < 0.7}
+        dens &= _rel_close(model.log_density(z), oracle.dense_density(model, z))
     for _ in range(5):
         k = int(rng.integers(model.d))
         prefix = [float(rng.normal()) for _ in range(k)]
         got = model.conditional_mixture_weights(k, prefix)
         want = oracle.dense_mixture_weights(model, k, dict(enumerate(prefix)))
-        ok &= bool(np.allclose(got, want, rtol=_VERIFY_TOL, atol=1e-12))
-        ok &= abs(got.sum() - 1.0) <= 1e-12
-    checks.append(("conditional component weights match enumeration", bool(ok)))
-    return checks
+        weights &= bool(np.allclose(got, want, rtol=_VERIFY_TOL, atol=1e-12))
+        weights &= abs(got.sum() - 1.0) <= 1e-12
+    return [("densities match mode enumeration", bool(dens)),
+            ("conditional component weights match enumeration", bool(weights))]
 
 
-def _verify_joint(model: JointModel) -> list[tuple[str, bool]]:
-    rng = np.random.default_rng(0)
-    checks = []
-    ok = True
+def _verify_joint(model) -> list[tuple[str, bool]]:
+    rng, sums, conditionals = np.random.default_rng(0), True, True
+    cards = model.cardinalities
     for _ in range(10):
         z = {k: float(rng.normal()) for k in range(model.d) if rng.random() < 0.7}
-        attrs = {
-            i: int(rng.integers(model.cardinalities[i]))
-            for i in range(model.c)
-            if rng.random() < 0.5
-        }
+        attrs = {i: int(rng.integers(cards[i])) for i in range(model.c) if rng.random() < 0.5}
         for i in range(model.c):
             rest = {j: v for j, v in attrs.items() if j != i}
-            total = sum(
-                np.exp(model.log_joint(z, {**rest, i: y}))
-                for y in range(model.cardinalities[i])
-            )
+            total = sum(np.exp(model.log_joint(z, {**rest, i: y})) for y in range(cards[i]))
             marg = np.exp(model.log_joint(z, rest))
-            ok &= abs(total - marg) <= 1e-10 * max(marg, 1.0)
-    checks.append(("attribute sums match marginals", bool(ok)))
-    ok = True
+            sums &= abs(total - marg) <= 1e-10 * max(marg, 1.0)
     for _ in range(5):
         z = rng.normal(size=model.d)
         for i in range(model.c):
-            total = sum(
-                np.exp(model.log_attr_given_z(z, {i: y}))
-                for y in range(model.cardinalities[i])
-            )
-            ok &= abs(total - 1.0) <= 1e-10
-    checks.append(("attribute conditionals normalize", bool(ok)))
+            total = sum(np.exp(model.log_attr_given_z(z, {i: y})) for y in range(cards[i]))
+            conditionals &= abs(total - 1.0) <= 1e-10
+    checks = [("attribute sums match marginals", bool(sums)),
+              ("attribute conditionals normalize", bool(conditionals))]
+    if int(np.prod(model.trip.component_counts)) <= oracle.DENSE_CAP:
+        checks += [(f"latent {name}", passed) for name, passed in _verify_continuous(model.trip)]
     return checks
 
 
 def _cmd_verify(args) -> int:
-    model = load_model(args.model)
+    view = _view(load_model(args.model))
     try:
-        if isinstance(model, JointModel):
-            checks = _verify_joint(model)
-            lattice = model.trip.cores
-            if int(np.prod(lattice.category_counts)) <= oracle.DENSE_CAP:
-                checks += [
-                    (f"latent {name}", passed)
-                    for name, passed in _verify_continuous(model.trip)
-                ]
-        elif isinstance(model, TripModel):
-            checks = _verify_continuous(model)
-        else:
-            checks = _verify_discrete(model)
+        checks = view.checks()
     except OracleSizeError as exc:
         print(f"refusing to verify: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -540,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--marginal-dims", default=None,
                    help="CSV columns to marginalize instead of observe")
-    p.add_argument("--missing-token", default="?")
+    p.add_argument("--missing-token", default="?", help="cell marking a missing categorical value")
     p.add_argument("--header", action="store_true")
     p.set_defaults(func=_cmd_logprob)
 
@@ -570,9 +528,6 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (DegenerateDistributionError, ConditionOnNullError, OracleSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except TripError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

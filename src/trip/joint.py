@@ -194,6 +194,10 @@ class JointModel:
             raise ValueError("z_values must have shape (n, len(latent_dims))")
         if attr_values.shape != (n, self.c):
             raise ValueError(f"attr_values must have shape (n, {self.c})")
+        if len(set(latent_dims)) != len(latent_dims):
+            raise ValueError("duplicate latent dims")
+        if not all(0 <= k < self.d for k in latent_dims):
+            raise ValueError("latent dimension index out of range")
         if n == 0:
             return np.empty(0)
         if len(latent_dims) and not np.all(np.isfinite(z_values)):

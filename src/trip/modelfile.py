@@ -102,7 +102,7 @@ def load_model(path: "str | os.PathLike"):
             doc = json.load(fh)
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("top-level document must be an object")

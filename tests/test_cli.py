@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 from conftest import four_mode_data, random_core_set, random_joint_model, random_trip_model
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import trip
-from trip.cli import main
+from trip.cli import build_parser, main
 from trip.modelfile import load_model, save_model
 
 
@@ -281,6 +282,20 @@ class TestLogprob:
         assert code == 2
         assert "line 2" in err
 
+    def test_discrete_missing_cell_sums_the_variable_out(
+        self, discrete_model_path, tmp_path, capsys
+    ):
+        src = tmp_path / "pts.csv"
+        src.write_text("0,1,2\n?,1,2\n0,?,?\n1,0,1\n")
+        code, out, _ = run(
+            capsys, "logprob", "--model", str(discrete_model_path), "--data", str(src)
+        )
+        assert code == 0
+        model = load_model(discrete_model_path)
+        rows = [float(line.split(",")[1]) for line in out.strip().splitlines()[:-1]]
+        masks = [{0: 0, 1: 1, 2: 2}, {1: 1, 2: 2}, {0: 0}, {0: 1, 1: 0, 2: 1}]
+        np.testing.assert_allclose(rows, [model.log_marginal(m) for m in masks], rtol=1e-12)
+
 
 class TestInspectAndVerify:
     def test_inspect_reports_reference_memory_row(self, tmp_path, capsys):
@@ -330,39 +345,120 @@ class TestInspectAndVerify:
 
 FIT = ["fit", "--data", "{data}", "--components", "2", "--core-size", "2", "--out", "{out}"]
 RESAMPLE = ["sample", "--model", "{cont3}", "-n", "2", "--seed", "0"]
+FIT_ATTR = ["fit", "--data", "{joint_rows}", "--attr-cols", "2", "--components", "1",
+            "--core-size", "1", "--out", "{out}"]
 
 
 @pytest.mark.parametrize(
-    "argv,code",
+    "argv,code,prefix",
     [
-        (["sample", "--model", "{cont3}", "-n", "-3", "--seed", "0"], 1),
-        (FIT + ["--components", "0"], 1),
-        (FIT + ["--core-size", "0"], 1),
-        (FIT + ["--epochs", "0"], 1),
-        (FIT + ["--batch-size", "0"], 1),
-        (FIT + ["--lr", "-1"], 1),
-        (FIT + ["--reinit-period", "-1"], 1),
-        (RESAMPLE + ["--resample-dims", "-1", "--from", "1,2,3"], 1),
-        (RESAMPLE + ["--resample-dims", "7", "--from", "1,2,3"], 1),
-        (RESAMPLE + ["--resample-dims", "0", "--from", "a,b,c"], 1),
-        (RESAMPLE + ["--resample-dims", "0", "--from", "1,2,inf"], 1),
-        (["logprob", "--model", "{joint}", "--data", "{joint_rows}"], 2),
+        (["sample", "--model", "{cont3}", "-n", "-3", "--seed", "0"], 1, "usage error:"),
+        (FIT + ["--components", "0"], 1, "usage error:"),
+        (FIT + ["--core-size", "0"], 1, "usage error:"),
+        (FIT + ["--epochs", "0"], 1, "usage error:"),
+        (FIT + ["--batch-size", "0"], 1, "usage error:"),
+        (FIT + ["--lr", "-1"], 1, "usage error:"),
+        (FIT + ["--reinit-period", "-1"], 1, "usage error:"),
+        (RESAMPLE + ["--resample-dims", "-1", "--from", "1,2,3"], 1, "usage error:"),
+        (RESAMPLE + ["--resample-dims", "7", "--from", "1,2,3"], 1, "usage error:"),
+        (RESAMPLE + ["--resample-dims", "0", "--from", "a,b,c"], 1, "usage error:"),
+        (RESAMPLE + ["--resample-dims", "0", "--from", "1,2,inf"], 1, "usage error:"),
+        (["logprob", "--model", "{joint}", "--data", "{joint_rows}"], 2, "data error: line 2:"),
+        (FIT + ["--out", "{out}/no/such/dir/m.json"], 1, "usage error:"),
+        (FIT + ["--out", "{outdir}"], 1, "usage error:"),
+        (["logprob", "--model", "{joint}", "--data", "{huge_attr}"], 2, "data error: line 2:"),
+        (FIT_ATTR + ["--data", "{huge_attr}"], 2, "data error: line 2:"),
+        (["logprob", "--model", "{joint}", "--data", "{latin1}"], 2, "data error:"),
+        (FIT + ["--data", "{latin1}"], 2, "data error:"),
+        (["inspect", "--model", "{latin1}"], 2, "model error:"),
+        (["sample", "--model", "{cont3}", "-n", "2", "--seed", "-1"], 1, "usage error:"),
     ],
     ids=[
         "sample-n", "fit-components", "fit-core-size", "fit-epochs", "fit-batch-size", "fit-lr",
         "fit-reinit-period", "resample-negative", "resample-past-d", "from-text", "from-inf",
-        "logprob-attribute-past-cardinality",
+        "logprob-attribute-past-cardinality", "fit-out-missing-directory", "fit-out-directory",
+        "logprob-attribute-past-int64", "fit-attribute-past-int64", "logprob-not-utf8",
+        "fit-not-utf8", "inspect-not-utf8", "sample-seed-negative",
     ],
 )
-def test_bad_input_ends_in_exit_code(argv, code, tmp_path, capsys):
+def test_bad_input_ends_in_exit_code(argv, code, prefix, tmp_path, capsys):
     rng = np.random.default_rng(12)
-    names = ("cont3", "joint", "data", "joint_rows", "out")
+    names = ("cont3", "joint", "data", "joint_rows", "huge_attr", "latin1", "outdir", "out")
     paths = {name: str(tmp_path / name) for name in names}
+    (tmp_path / "outdir").mkdir()
     save_model(random_trip_model(rng, [2, 2, 2]), paths["cont3"])
     save_model(random_joint_model(rng, [2, 2], [2]), paths["joint"])
     write_csv(tmp_path / "data", rng.normal(size=(20, 3)).tolist())
     write_csv(tmp_path / "joint_rows", [[0.1, 0.2, 1], [0.3, 0.4, 5]])
+    write_csv(tmp_path / "huge_attr", [[0.1, 0.2, 1], [0.3, 0.4, "99999999999999999999"]])
+    (tmp_path / "latin1").write_bytes("0.5,0.25,caf\u00e9\n".encode("latin-1"))
     got, _, err = run(capsys, *[arg.format(**paths) for arg in argv])
     assert got == code
-    assert err.startswith("usage error:" if code == 1 else "data error: line 2:")
+    assert err.startswith(prefix)
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# cell and flag values that probe the parsers: signs, zero, past int64, the
+# missing token, non-finite floats, empty and non-numeric text
+FUZZ_CELLS = ["-1", "0", "1", "2", "0.5", "-0.25", "99999999999999999999", "?", "nan", "inf",
+              "", "x"]
+FUZZ_VALUES = FUZZ_CELLS + ["0,1", "1,0", "0,0", "=", ",", "attr0=1,attr0=0"]
+# plausible values, drawn three times as often as the ones above, so that runs
+# get past the flag checks into parsing, evaluation, sampling and fitting; flags
+# that size an allocation (rows, epochs, components, core size) stay at most 2
+FUZZ_PLAUSIBLE = {"lr": ["0.01"], "start": ["0.5,0.5"], "given": ["1=0", "attr0=1"],
+                  "attr_cols": ["1", "2"], "marginal_dims": ["0", "1"],
+                  "resample_dims": ["0", "1"], "missing_token": ["?"]}
+FUZZ_CSV_POOLS = [["0", "1"], ["0", "1", "0.5", "?"], FUZZ_CELLS]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(13)
+    save_model(random_core_set(rng, [2, 3]), path / "discrete.json")
+    save_model(random_trip_model(rng, [2, 2]), path / "continuous.json")
+    save_model(random_joint_model(rng, [2, 2], [2]), path / "joint.json")
+    (path / "latin1.csv").write_bytes("0.5,caf\u00e9\n".encode("latin-1"))
+    return path
+
+
+def _fuzz_value(dest, path):
+    # "out.json" is where fit writes, so the other commands also read fitted models
+    files = {"model": ["discrete.json", "continuous.json", "joint.json", "out.json"],
+             "data": ["rows.csv"], "out": ["out.json"]}
+    if dest in files:
+        plausible = [str(path / f) for f in files[dest]]
+        hostile = [str(path / "absent" / "f"), str(path), ""]
+        hostile += [] if dest == "out" else [str(path / "latin1.csv")]
+    elif dest in ("n", "epochs", "components", "core_size"):
+        plausible, hostile = ["1", "2"], ["-1", "0"]
+    else:
+        plausible, hostile = FUZZ_PLAUSIBLE.get(dest, ["1", "2"]), FUZZ_VALUES
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(plausible if i else hostile))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_main_returns_an_exit_code_on_any_input(fuzz_dir, data):
+    # every command with flags drawn from its own parser, on small models of all
+    # three kinds and a small CSV: main ends in a documented exit code, never raises
+    commands = build_parser()._subparsers._group_actions[0].choices
+    command = data.draw(st.sampled_from(sorted(commands)))
+    argv = [command]
+    for action in commands[command]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if not action.required and not data.draw(st.booleans()):
+            continue
+        argv.append(action.option_strings[-1])
+        if action.nargs != 0:
+            argv.append(data.draw(_fuzz_value(action.dest, fuzz_dir)))
+    cells = st.sampled_from(data.draw(st.sampled_from(FUZZ_CSV_POOLS)))
+    width = data.draw(st.sampled_from([1, 2, 2, 3, 3, 4]))
+    rows = data.draw(st.lists(st.lists(cells, min_size=width, max_size=width),
+                              min_size=1, max_size=4))
+    write_csv(fuzz_dir / "rows.csv", rows)
+    assert main(argv) in range(5)

@@ -148,6 +148,14 @@ class TestLogJoint:
         with pytest.raises(ValueError):
             jm.log_joint({}, {0: 2})
 
+    @pytest.mark.parametrize("dims", [[7], [-1], [3], [0, 0]])
+    def test_batched_rejects_bad_latent_dims(self, dims):
+        # an unchecked index would drop its column and silently sum it out
+        rng = np.random.default_rng(9)
+        jm = random_joint_model(rng, [2, 2, 2], [2])
+        with pytest.raises(ValueError):
+            jm.log_joints(dims, np.full((1, len(dims)), 0.5), [[-1]])
+
     def test_permutation_changes_values_not_invariants(self):
         rng = np.random.default_rng(10)
         model = random_trip_model(rng, [2, 2])
