@@ -11,11 +11,17 @@ Matrices are passed as ``(mat, logscale)`` pairs whose value is
 ``mat * exp(logscale)``. ``mat`` is either ``(m, m')`` (shared by all rows
 of a batch) or ``(n, m, m')`` (one per row); ``logscale`` is ``0.0``, a
 scalar, or an ``(n,)`` array.
+
+The forward walk is written once, as the generator :func:`prefix_chain`.
+Evaluation keeps its last step (:func:`chain_logtrace`); a gradient stores
+every step and walks back through :func:`suffix_chain` one step at a time.
+The sampler's :func:`suffix_products` stays separate: its ``@`` differs from
+the batched ``einsum`` in the last bit, and seeded samples depend on it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +36,7 @@ def _multiply(buf: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def _renormalize(buf: np.ndarray, acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divide each row by its max entry; add the log divisor to ``acc``.
+    """Divide each row by its max entry, in place; add the log divisor to ``acc``.
 
     Rows that collapsed to exactly zero are left as-is (their trace is zero
     and the caller maps that to -inf), with a divisor of one so the log
@@ -38,11 +44,29 @@ def _renormalize(buf: np.ndarray, acc: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     scale = buf.max(axis=(1, 2))
     safe = np.where(scale > 0.0, scale, 1.0)
-    return buf / safe[:, None, None], acc + np.log(safe)
+    return np.divide(buf, safe[:, None, None], out=buf), acc + np.log(safe)
 
 
 def _identity_batch(m: int, n: int) -> np.ndarray:
     return np.broadcast_to(np.eye(m), (n, m, m)).copy()
+
+
+def prefix_chain(items: Iterable[Item], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Normalized partial products from the left, yielded one at a time.
+
+    The ``j``-th pair ``(P, a)`` has ``P * exp(a)`` equal to the true product
+    of items ``0..j-1``, one ``(n,)`` log scale per row; the first is the
+    identity. Nothing is yielded for an empty chain.
+    """
+    buf, acc = None, np.zeros(n)
+    for mat, logscale in items:
+        if buf is None:
+            buf = _identity_batch(mat.shape[-2], n)
+            yield buf, acc
+        buf = _multiply(buf, mat)
+        acc = acc + logscale
+        buf, acc = _renormalize(buf, acc)
+        yield buf, acc
 
 
 def chain_logtrace(items: Iterable[Item], n: int) -> np.ndarray:
@@ -50,65 +74,33 @@ def chain_logtrace(items: Iterable[Item], n: int) -> np.ndarray:
 
     Rows whose product has zero trace yield ``-inf``.
     """
-    buf: np.ndarray | None = None
-    acc = np.zeros(n)
-    for mat, logscale in items:
-        if buf is None:
-            buf = _identity_batch(mat.shape[-2], n)
-        buf = _multiply(buf, mat)
-        acc = acc + logscale
-        buf, acc = _renormalize(buf, acc)
+    buf, acc = None, np.zeros(n)
+    for buf, acc in prefix_chain(items, n):
+        pass
     if buf is None:
-        return np.zeros(n)
+        return acc
     trace = np.trace(buf, axis1=1, axis2=2)
     out = np.where(trace > 0.0, np.log(np.where(trace > 0.0, trace, 1.0)), -np.inf)
     return out + acc
 
 
-def prefix_chain(items: Sequence[Item], n: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Normalized partial products from the left.
+def suffix_chain(items: Sequence[Item], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Normalized partial products from the right, yielded last first.
 
-    Returns ``(P, a)`` with ``P[j] * exp(a[:, j])`` equal to the true product
-    of items ``0..j-1``; ``P[0]`` is the identity and ``a`` has shape
-    ``(n, d + 1)``.
+    The pair ``(S, b)`` yielded after ``k`` steps has ``S * exp(b)`` equal to
+    the true product of items ``d-k..d-1``; the first is the identity. A
+    consumer that stops after ``d`` pairs never computes the full product.
     """
-    d = len(items)
-    m0 = items[0][0].shape[-2]
-    prods = [_identity_batch(m0, n)]
-    acc = np.zeros((n, d + 1))
-    running = np.zeros(n)
-    for j, (mat, logscale) in enumerate(items):
-        buf = _multiply(prods[-1], mat)
-        running = running + logscale
-        buf, running = _renormalize(buf, running)
-        prods.append(buf)
-        acc[:, j + 1] = running
-    return prods, acc
-
-
-def suffix_chain(items: Sequence[Item], n: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Normalized partial products from the right.
-
-    Returns ``(S, b)`` with ``S[j] * exp(b[:, j])`` equal to the true product
-    of items ``j..d-1``; ``S[d]`` is the identity.
-    """
-    d = len(items)
-    m_last = items[-1][0].shape[-1]
-    prods = [_identity_batch(m_last, n)]
-    acc = np.zeros((n, d + 1))
-    running = np.zeros(n)
-    for j in range(d - 1, -1, -1):
-        mat, logscale = items[j]
+    buf, acc = _identity_batch(items[-1][0].shape[-1], n), np.zeros(n)
+    yield buf, acc
+    for mat, logscale in reversed(items):
         if mat.ndim == 2:
-            buf = np.einsum("ab,nbc->nac", mat, prods[-1])
+            buf = np.einsum("ab,nbc->nac", mat, buf)
         else:
-            buf = np.einsum("nab,nbc->nac", mat, prods[-1])
-        running = running + logscale
-        buf, running = _renormalize(buf, running)
-        prods.append(buf)
-        acc[:, j] = running
-    prods.reverse()
-    return prods, acc
+            buf = np.einsum("nab,nbc->nac", mat, buf)
+        acc = acc + logscale
+        buf, acc = _renormalize(buf, acc)
+        yield buf, acc
 
 
 def suffix_products(mats: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -269,6 +269,8 @@ def _cmd_fit(args) -> int:
             model = fit_mle(latents, args.components, args.core_size, config, on_epoch)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except MemoryError as exc:
+        raise DataError(f"attribute cardinalities {cards} are too large: {exc}") from exc
     save_model(model, args.out)
     return EXIT_OK
 
@@ -403,13 +405,15 @@ def _verify_discrete(model) -> list[tuple[str, bool]]:
 def _verify_continuous(model) -> list[tuple[str, bool]]:
     _, means, stds = oracle.enumerate_modes(model)
     rng, dens, weights = np.random.default_rng(0), True, True
-    for _ in range(25):
-        z = {k: float(rng.normal(np.mean(means[:, k]), 1.0 + np.mean(stds[:, k])))
-             for k in range(model.d) if rng.random() < 0.7}
+    # draw around the modes: away from them, tiny stds underflow the oracle's densities to 0
+    modes = rng.integers(len(means), size=30)
+    points = means[modes] + stds[modes] * rng.standard_normal((30, model.d))
+    for point in points[:25]:
+        z = {k: float(v) for k, v in enumerate(point) if rng.random() < 0.7}
         dens &= _rel_close(model.log_density(z), oracle.dense_density(model, z))
-    for _ in range(5):
+    for point in points[25:]:
         k = int(rng.integers(model.d))
-        prefix = [float(rng.normal()) for _ in range(k)]
+        prefix = [float(v) for v in point[:k]]
         got = model.conditional_mixture_weights(k, prefix)
         want = oracle.dense_mixture_weights(model, k, dict(enumerate(prefix)))
         weights &= bool(np.allclose(got, want, rtol=_VERIFY_TOL, atol=1e-12))

@@ -6,9 +6,12 @@ Each factor comes from a position of the ring engine (:mod:`trip.ring`) and
 a column of observations, so continuous models and joint models with
 missing attributes share one gradient. Reverse mode through a trace of a
 matrix chain is closed-form: the adjoint of the ``j``-th factor is the
-transposed product of all the others, divided by the trace. The adjoints are
-built from renormalized prefix/suffix products, so the gradient is as
-overflow-proof as the forward pass.
+transposed product of all the others, divided by the trace. One forward walk
+stores each position's matrices and renormalized prefix product: two buffers
+per position and row. One backward walk keeps a single running suffix, and
+each position's adjoint is contracted into its parameter gradient and dropped
+as soon as it is formed, so the gradient is as overflow-proof as the forward
+pass and builds no list of suffixes or adjoints.
 
 The absolute-value reparameterization of core entries contributes a factor
 ``sign(q)`` per entry, with subgradient 0 at exactly zero (parameters
@@ -18,7 +21,7 @@ initialized from continuous noise are never exactly zero in practice).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,28 +67,29 @@ def _forward_item(position, col) -> tuple[np.ndarray, "np.ndarray | float", np.n
     return np.einsum("kab,nk->nab", position.abs_core, weights), shift, weights
 
 
-def _adjoints(
-    items: Sequence, n: int, row_weights: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def _adjoints(items: Sequence, n: int, row_weights: np.ndarray) -> tuple[np.ndarray, Iterator]:
     """Per-position weighted adjoints of log Tr of the item chain.
 
-    Returns ``(logtrace, G)`` where ``G[j][i]`` is ``row_weights[i]`` times
-    the derivative of ``log Tr`` for row ``i`` with respect to the true
-    (unscaled) matrix of position ``j``, re-expressed against the stabilized
-    matrix actually used in the forward pass.
+    Returns ``(logtrace, G)``. ``G`` yields, last position first, arrays whose
+    row ``i`` is ``row_weights[i]`` times the derivative of ``log Tr`` for row
+    ``i`` with respect to the true (unscaled) matrix of that position,
+    re-expressed against the stabilized matrix actually used in the forward
+    pass. Each prefix is kept until its adjoint is formed.
     """
-    prefixes, a = prefix_chain(items, n)
-    suffixes, b = suffix_chain(items, n)
-    trace = np.trace(prefixes[-1], axis1=1, axis2=2)
+    prefixes = list(prefix_chain(items, n))
+    last, total = prefixes.pop()
+    trace = np.trace(last, axis1=1, axis2=2)
     if not np.all(trace > 0.0):
         raise DegenerateDistributionError("zero trace: gradient undefined")
-    logtrace = np.log(trace) + a[:, -1]
-    adj = []
-    for j, (mat, logshift) in enumerate(items):
-        outer = np.einsum("nca,nab->ncb", suffixes[j + 1], prefixes[j])
-        factor = row_weights * np.exp(a[:, j] + b[:, j + 1] + logshift - a[:, -1]) / trace
-        adj.append(np.transpose(outer, (0, 2, 1)) * factor[:, None, None])
-    return logtrace, adj
+
+    def backward() -> Iterator[np.ndarray]:
+        for (_, logshift), (suffix, b) in zip(reversed(items), suffix_chain(items, n)):
+            prefix, a = prefixes.pop()
+            outer = np.einsum("nca,nab->ncb", suffix, prefix)
+            factor = row_weights * np.exp(a + b + logshift - total) / trace
+            yield np.transpose(outer, (0, 2, 1)) * factor[:, None, None]
+
+    return np.log(trace) + total, backward()
 
 
 def _weighted_chain_grad(
@@ -97,25 +101,25 @@ def _weighted_chain_grad(
     per-row log-probabilities of the normalized chain. ``position(j)``
     returns ring position ``j`` and ``cols[j]`` its observations (``-1``
     marks a missing categorical value). Each position is asked for once in
-    the forward pass and once for its parameter gradient, so a caller may
-    build positions on demand and no ``|Q|`` copy outlives its use.
+    the forward pass and once, last first, for its parameter gradient, so a
+    caller may build positions on demand and no ``|Q|`` copy outlives its
+    use.
     """
-    forwards, norm_items = [], []
+    items, gauss, norm_items = [], [], []
     for j, col in enumerate(cols):
         pos = position(j)
-        forwards.append(_forward_item(pos, col))
+        mats, shift, weights = _forward_item(pos, col)
+        items.append((mats, shift))
+        gauss.append(weights)
         norm_items.append((pos.summed, 0.0))
-    items = [(mats, shift) for mats, shift, _ in forwards]
     logtrace, adj = _adjoints(items, n, row_weights)
-
-    total_weight = np.array([row_weights.sum()])
-    lognorm, norm_adj = _adjoints(norm_items, 1, total_weight)
+    lognorm, norm_adj = _adjoints(norm_items, 1, np.array([row_weights.sum()]))
     logp = logtrace - lognorm[0]
 
     grads = []
-    for j, ((_, _, gauss_w), g, h) in enumerate(zip(forwards, adj, norm_adj)):
-        pos, col = position(j), cols[j]
-        abs_grad = np.zeros_like(pos.core)
+    for j, g, h in zip(range(len(cols) - 1, -1, -1), adj, norm_adj):
+        pos, col, gauss_w = position(j), cols[j], gauss[j]
+        abs_grad, d_mean, d_log_std = np.zeros_like(pos.core), None, None
         if gauss_w is not None:
             u = np.einsum("nab,kab->nk", g, pos.abs_core)
             e = u * gauss_w
@@ -127,17 +131,15 @@ def _weighted_chain_grad(
                 d_mean = np.einsum("nk,nk->k", e, zc / stds[None, :])
                 d_log_std = np.einsum("nk,nk->k", e, zc * zc - 1.0)
             abs_grad += np.einsum("nab,nk->kab", g, gauss_w)
-            abs_grad -= h[0]
-            grads.append(_TermGrad(np.sign(pos.core) * abs_grad, d_mean, d_log_std))
         else:
             observed = col >= 0
             if observed.any():
                 np.add.at(abs_grad, col[observed], g[observed])
             if (~observed).any():
                 abs_grad += g[~observed].sum(axis=0)
-            abs_grad -= h[0]
-            grads.append(_TermGrad(np.sign(pos.core) * abs_grad))
-    return logp, grads
+        abs_grad -= h[0]
+        grads.append(_TermGrad(np.sign(pos.core) * abs_grad, d_mean, d_log_std))
+    return logp, grads[::-1]
 
 
 def _model_grad(model: TripModel, samples: np.ndarray, row_weights: np.ndarray):

@@ -32,6 +32,18 @@ def cont_model_path(tmp_path):
 
 
 @pytest.fixture
+def tiny_std_model_path(tmp_path):
+    # stds as small as `trip fit` gives a column of zeros: densities away
+    # from the modes underflow to zero
+    rng = np.random.default_rng(3)
+    model = trip.TripModel(random_core_set(rng, [2, 2]), [np.zeros(2), np.array([0.0, 1e-5])],
+                           [np.full(2, 1e-6), np.full(2, 2e-6)])
+    path = tmp_path / "tiny.json"
+    save_model(model, path)
+    return path
+
+
+@pytest.fixture
 def discrete_model_path(tmp_path):
     rng = np.random.default_rng(1)
     cs = random_core_set(rng, [3, 2, 3])
@@ -311,8 +323,9 @@ class TestInspectAndVerify:
         assert "parameters: 102000" in out
         assert "0.778 MB" in out
 
-    def test_verify_small_models_pass(self, cont_model_path, discrete_model_path, capsys):
-        for path in (cont_model_path, discrete_model_path):
+    def test_verify_small_models_pass(self, cont_model_path, discrete_model_path,
+                                      tiny_std_model_path, capsys):
+        for path in (cont_model_path, discrete_model_path, tiny_std_model_path):
             code, out, _ = run(capsys, "verify", "--model", str(path))
             assert code == 0
             assert "FAIL" not in out
@@ -368,6 +381,7 @@ FIT_ATTR = ["fit", "--data", "{joint_rows}", "--attr-cols", "2", "--components",
         (FIT + ["--out", "{outdir}"], 1, "usage error:"),
         (["logprob", "--model", "{joint}", "--data", "{huge_attr}"], 2, "data error: line 2:"),
         (FIT_ATTR + ["--data", "{huge_attr}"], 2, "data error: line 2:"),
+        (FIT_ATTR + ["--data", "{huge_card}"], 2, "data error: attribute cardinalities"),
         (["logprob", "--model", "{joint}", "--data", "{latin1}"], 2, "data error:"),
         (FIT + ["--data", "{latin1}"], 2, "data error:"),
         (["inspect", "--model", "{latin1}"], 2, "model error:"),
@@ -377,13 +391,14 @@ FIT_ATTR = ["fit", "--data", "{joint_rows}", "--attr-cols", "2", "--components",
         "sample-n", "fit-components", "fit-core-size", "fit-epochs", "fit-batch-size", "fit-lr",
         "fit-reinit-period", "resample-negative", "resample-past-d", "from-text", "from-inf",
         "logprob-attribute-past-cardinality", "fit-out-missing-directory", "fit-out-directory",
-        "logprob-attribute-past-int64", "fit-attribute-past-int64", "logprob-not-utf8",
-        "fit-not-utf8", "inspect-not-utf8", "sample-seed-negative",
+        "logprob-attribute-past-int64", "fit-attribute-past-int64", "fit-attribute-7-pib",
+        "logprob-not-utf8", "fit-not-utf8", "inspect-not-utf8", "sample-seed-negative",
     ],
 )
 def test_bad_input_ends_in_exit_code(argv, code, prefix, tmp_path, capsys):
     rng = np.random.default_rng(12)
-    names = ("cont3", "joint", "data", "joint_rows", "huge_attr", "latin1", "outdir", "out")
+    names = ("cont3", "joint", "data", "joint_rows", "huge_attr", "huge_card", "latin1", "outdir",
+             "out")
     paths = {name: str(tmp_path / name) for name in names}
     (tmp_path / "outdir").mkdir()
     save_model(random_trip_model(rng, [2, 2, 2]), paths["cont3"])
@@ -391,6 +406,8 @@ def test_bad_input_ends_in_exit_code(argv, code, prefix, tmp_path, capsys):
     write_csv(tmp_path / "data", rng.normal(size=(20, 3)).tolist())
     write_csv(tmp_path / "joint_rows", [[0.1, 0.2, 1], [0.3, 0.4, 5]])
     write_csv(tmp_path / "huge_attr", [[0.1, 0.2, 1], [0.3, 0.4, "99999999999999999999"]])
+    # a cardinality of 1e15 asks numpy for a 7 PiB core, which it refuses at once
+    write_csv(tmp_path / "huge_card", [[0.1, 0.2, 1], [0.3, 0.4, 1000000000000000]])
     (tmp_path / "latin1").write_bytes("0.5,0.25,caf\u00e9\n".encode("latin-1"))
     got, _, err = run(capsys, *[arg.format(**paths) for arg in argv])
     assert got == code

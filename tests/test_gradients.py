@@ -1,5 +1,7 @@
 """Analytic gradients against central finite differences; estimator algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_trip_model
@@ -153,6 +155,22 @@ class TestReinforce:
         centered = (scores - scores.mean())[:, None] * per_sample
         se = centered.std(axis=0) / np.sqrt(n)
         assert (np.abs(est - fd) <= 3 * se + 1e-12).all()
+
+    @pytest.mark.parametrize("d,N,m,n", [(40, 4, 8, 64), (12, 3, 16, 200)])
+    def test_memory_stays_below_three_buffers_per_position(self, d, N, m, n):
+        # the forward matrices and the prefixes are d buffers of (n, m, m)
+        # each; streaming the adjoints keeps the rest to a few buffers
+        rng = np.random.default_rng(13)
+        model = random_trip_model(rng, [N] * d, [m] * d)
+        samples = model.sample_batch(n, rng=rng)
+        scores = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            reinforce_grad(model, samples, scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * d * n * m * m * 8
 
 
 class TestKlElbo:
