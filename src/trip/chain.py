@@ -15,8 +15,10 @@ scalar, or an ``(n,)`` array.
 The forward walk is written once, as the generator :func:`prefix_chain`.
 Evaluation keeps its last step (:func:`chain_logtrace`); a gradient stores
 every step and walks back through :func:`suffix_chain` one step at a time.
-The sampler's :func:`suffix_products` stays separate: its ``@`` differs from
-the batched ``einsum`` in the last bit, and seeded samples depend on it.
+The sampler's :func:`suffix_products` stays separate for speed: with
+:func:`suffix_chain` in its place, a one-row conditional redraw gave the same
+bits but took 1.15x as long at d=100, m=20 and 1.24x at d=256, m=4 (medians
+of eight alternating runs on a 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -104,7 +106,8 @@ def suffix_chain(items: Sequence[Item], n: int) -> Iterator[tuple[np.ndarray, np
 
 
 def suffix_products(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Right-to-left normalized products of plain ``(m, m')`` matrices.
+    """Right-to-left normalized products of ``(m, m')`` matrices, or of
+    ``(1, m, m')`` stacks, which ``@`` broadcasts.
 
     Scale factors are dropped: callers use these only inside ratios that are
     normalized afterwards. ``out[j]`` is proportional to the product of

@@ -38,8 +38,9 @@ EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
 EXIT_VERIFY = 4
 
-# fit infers each attribute's cardinality, so its cells are bounded only by int64
-_INT64_CARD = int(np.iinfo(np.int64).max)
+# fit infers each attribute's cardinality from its largest cell; cells past
+# this many categories are refused, so that one bad cell cannot size a core
+MAX_CATEGORIES = 2**16
 
 
 class UsageError(Exception):
@@ -84,7 +85,7 @@ def _view(model) -> _View:
         counts = model.category_counts
         return _View(
             [(str(k), card) for k, card in enumerate(counts)],
-            lambda dims, values: _log_marginals(model, dims, values),
+            model.log_marginals,
             lambda n, given, rng: model.sample_batch(n, given, rng=rng),
             None,
             ["kind: discrete", f"dimensions: {model.d}",
@@ -120,18 +121,6 @@ def _view(model) -> _View:
         params + list(model.attribute_cores),
         lambda: _verify_joint(model),
     )
-
-
-def _log_marginals(model, dims: list[int], values: np.ndarray) -> np.ndarray:
-    """``CoreSet.log_marginals`` with missing (-1) cells summed out, one call
-    per pattern of missing cells."""
-    out = np.empty(len(values))
-    patterns, group = np.unique(values < 0, axis=0, return_inverse=True)
-    for g, gone in enumerate(patterns):
-        rows = group.reshape(-1) == g
-        kept = [k for k, skip in zip(dims, gone) if not skip]
-        out[rows] = model.log_marginals(kept, values[rows][:, ~gone])
-    return out
 
 
 def _log_joints(model, dims: list[int], values: np.ndarray) -> np.ndarray:
@@ -244,7 +233,7 @@ def _cmd_fit(args) -> int:
     if not latent_cols:
         raise UsageError("no latent columns left after --attr-cols")
     latents = _parse_cells(rows, [(i, None) for i in latent_cols], args.missing_token)
-    attrs = _parse_cells(rows, [(i, _INT64_CARD) for i in attr_cols], args.missing_token)
+    attrs = _parse_cells(rows, [(i, MAX_CATEGORIES) for i in attr_cols], args.missing_token)
 
     # attribute columns with no observed value carry no information: drop them
     seen = (attrs >= 0).any(axis=0)
@@ -270,7 +259,9 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     except MemoryError as exc:
-        raise DataError(f"attribute cardinalities {cards} are too large: {exc}") from exc
+        raise DataError(f"a model with {args.components} components, core size "
+                        f"{args.core_size} and attribute cardinalities {cards} "
+                        f"is too large: {exc}") from exc
     save_model(model, args.out)
     return EXIT_OK
 

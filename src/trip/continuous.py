@@ -262,19 +262,17 @@ class TripModel:
         weights = np.exp(logw - top)
         return weights / weights.sum()
 
-    def _ancestral_sample(
-        self, fixed: dict[int, float], n: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sample all dimensions not in ``fixed``, in ring order, conditioned
-        on ``fixed`` and on previously drawn dimensions."""
-        return ring.sample(self._ring, fixed, n, rng)
+    def _ancestral_sample(self, cols: Sequence, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw the :data:`~trip.ring.DRAW` dimensions in ring order, each
+        conditioned on the fixed columns and on the dimensions drawn before it."""
+        return ring.sample(self._ring, cols, n, rng)
 
     def sample(self, *, rng: "int | np.random.Generator") -> np.ndarray:
         """Draw one vector by per-dimension chain-rule sampling."""
-        return self._ancestral_sample({}, 1, _as_rng(rng))[0]
+        return self.sample_batch(1, rng=rng)[0]
 
     def sample_batch(self, n: int, *, rng: "int | np.random.Generator") -> np.ndarray:
-        return self._ancestral_sample({}, int(n), _as_rng(rng))
+        return self._ancestral_sample([ring.DRAW] * self.d, int(n), _as_rng(rng))
 
     def conditional_resample(
         self,
@@ -297,6 +295,8 @@ class TripModel:
             raise ValueError("resample_dims out of range")
         if not resample:
             return current.copy()
-        fixed = {k: float(current[k]) for k in range(self.d) if k not in resample}
-        self._check_mask(fixed)
-        return self._ancestral_sample(fixed, 1, _as_rng(rng))[0]
+        cols = [ring.DRAW if k in resample else current[k : k + 1] for k in range(self.d)]
+        for k, col in enumerate(cols):
+            if col is not ring.DRAW and not np.isfinite(col[0]):
+                raise ValueError(f"observed value for dimension {k} is not finite")
+        return self._ancestral_sample(cols, 1, _as_rng(rng))[0]

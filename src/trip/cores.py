@@ -148,10 +148,11 @@ class CoreSet:
         return float(self.log_marginals(dims, values)[0])
 
     def log_marginals(self, dims: Sequence[int], values: np.ndarray) -> np.ndarray:
-        """Batched :meth:`log_marginal` for many assignments of one mask shape.
+        """Batched :meth:`log_marginal`.
 
         ``dims`` lists the observed variables and ``values`` is an integer
-        array of shape ``(n, len(dims))`` giving their values per row.
+        array of shape ``(n, len(dims))`` giving their values per row; a
+        ``-1`` cell sums that variable out for that row.
         """
         dims = [int(k) for k in dims]
         values = np.asarray(values, dtype=int)
@@ -162,8 +163,9 @@ class CoreSet:
         if values.shape[0] == 0:
             return np.empty(0)
         for pos, k in enumerate(dims):
-            self._check_mask({k: int(values[:, pos].min())})
-            self._check_mask({k: int(values[:, pos].max())})
+            self._check_mask({k: int(values[:, pos].max(initial=0))})
+            if values[:, pos].min() < -1:
+                raise ValueError(f"mask: value {values[:, pos].min()} below -1 for variable {k}")
         col = {k: pos for pos, k in enumerate(dims)}
         cols = [values[:, col[k]] if k in col else None for k in range(self.d)]
         return chain_logtrace(ring.items(self._ring, cols), values.shape[0]) - self.log_normalizer
@@ -199,4 +201,5 @@ class CoreSet:
         given = dict(given or {})
         self._check_mask(given, "given")
         self.log_normalizer  # a ring with no mass at all raises DegenerateDistributionError
-        return ring.sample(self._ring, given, n, _as_rng(rng)).astype(int)
+        cols = [np.array([given[k]]) if k in given else ring.DRAW for k in range(self.d)]
+        return ring.sample(self._ring, cols, n, _as_rng(rng)).astype(int)

@@ -21,8 +21,7 @@ from . import ring
 from .chain import chain_logtrace
 from .continuous import ContinuousMask, TripModel
 from .continuous import observed_matrix  # noqa: F401  (a lookup site of bench/tracer.py)
-from .cores import _as_rng
-from .errors import CoreShapeError
+from .cores import CoreSet, _as_rng
 
 # Observed attribute values; absent attributes are missing (marginalized).
 PartialAttributes = Mapping[int, int]
@@ -52,7 +51,8 @@ class JointModel:
     permutation : sequence of int
         Ring order over all ``d + c`` variables (latents ``0..d-1``,
         attributes ``d..d+c-1``). Core shapes must chain compatibly in this
-        order, wrapping around.
+        order, wrapping around; a :class:`CoreShapeError` names a core by its
+        position in this order.
     attribute_names : sequence of str, optional
         Defaults to ``attr0, attr1, ...``.
     """
@@ -65,34 +65,22 @@ class JointModel:
         attribute_names: Sequence[str] | None = None,
     ):
         self._trip = trip
-        attrs = tuple(np.array(a, dtype=float) for a in attribute_cores)
-        for i, core in enumerate(attrs):
-            if core.ndim != 3 or min(core.shape) < 1:
-                raise CoreShapeError(f"attribute core {i} must be 3-D, got {core.shape}")
-            if not np.all(np.isfinite(core)):
-                raise CoreShapeError(f"attribute core {i} contains non-finite entries")
-            core.flags.writeable = False
-        self._attr_cores = attrs
-
         perm = np.asarray(permutation, dtype=int)
-        total = trip.d + len(attrs)
+        total = trip.d + len(attribute_cores)
         if sorted(perm.tolist()) != list(range(total)):
             raise ValueError(f"permutation must be a bijection on 0..{total - 1}")
         self._perm = perm
         self._perm.flags.writeable = False
 
-        ring = [self._core_of(v) for v in perm]
-        for p, core in enumerate(ring):
-            nxt = ring[(p + 1) % len(ring)]
-            if core.shape[2] != nxt.shape[1]:
-                raise CoreShapeError(
-                    f"ring position {p} (variable {perm[p]}) right size "
-                    f"{core.shape[2]} does not match position {(p + 1) % len(ring)}"
-                )
+        # one CoreSet checks every core in ring order, naming it by ring position
+        cores = CoreSet([
+            trip.cores.cores[v] if v < trip.d else attribute_cores[v - trip.d] for v in perm
+        ]).cores
+        self._attr_cores = tuple(cores[p] for p in np.argsort(perm)[trip.d :])
 
         if attribute_names is None:
-            attribute_names = [f"attr{i}" for i in range(len(attrs))]
-        if len(attribute_names) != len(attrs):
+            attribute_names = [f"attr{i}" for i in range(self.c)]
+        if len(attribute_names) != self.c:
             raise ValueError("one name per attribute required")
         self._attr_names = tuple(str(s) for s in attribute_names)
 
@@ -124,11 +112,6 @@ class JointModel:
     @property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(a.shape[0] for a in self._attr_cores)
-
-    def _core_of(self, v: int) -> np.ndarray:
-        if v < self.d:
-            return self._trip.cores.cores[v]
-        return self._attr_cores[v - self.d]
 
     @cached_property
     def _ring(self) -> list[ring.Categorical]:
@@ -238,11 +221,10 @@ class JointModel:
         rng: "int | np.random.Generator",
     ) -> np.ndarray:
         attrs = self._check_attrs(attrs or {})
-        fixed, summed = {}, set()
-        for p, v in enumerate(self._perm):
-            if v >= self.d and v - self.d in attrs:
-                fixed[p] = attrs[v - self.d]
-            elif v >= self.d:
-                summed.add(p)
-        draws = ring.sample(self._ring, fixed, int(n), _as_rng(rng), summed)
+        cols = [
+            ring.DRAW if v < self.d
+            else np.array([attrs[v - self.d]]) if v - self.d in attrs else None
+            for v in self._perm
+        ]
+        draws = ring.sample(self._ring, cols, int(n), _as_rng(rng))
         return draws[:, np.argsort(self._perm)[: self.d]]

@@ -11,14 +11,21 @@ per-slice means and log-stds and is observed through its Gaussian weights.
 The engine offers four operations on a list of positions: the matrices of
 one position for a column of observations (:func:`matrices`), a lazy stream
 of those matrices for :func:`~trip.chain.chain_logtrace` (:func:`items`),
-the log-normalizer (:func:`log_normalizer`), and ancestral sampling over
-fixed, drawn and summed-out positions (:func:`sample`).
+the log-normalizer (:func:`log_normalizer`), and ancestral sampling
+(:func:`sample`).
+
+Each operation but the normalizer describes what happens at every position
+by one entry of a list ``cols``. ``None`` sums the position out. An array
+observes it: one value per row, or one value shared by every row when the
+array has length 1 (a fixed condition). A ``-1`` in a categorical column sums
+the position out for that row only. :func:`sample` takes one more entry,
+:data:`DRAW`, for a position whose value it draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +64,10 @@ class Categorical:
         return idx
 
 
+# the entry of ``cols`` that :func:`sample` draws
+DRAW = object()
+
+
 def matrices(position: Categorical, col: "np.ndarray | None") -> Item:
     """Ring matrices ``(mats, logshift)`` of one position for a column of
     observations; ``col=None`` sums the position out for every row."""
@@ -82,33 +93,25 @@ def log_normalizer(positions: Sequence[Categorical]) -> float:
 
 
 def sample(
-    positions: Sequence[Categorical],
-    fixed: Mapping[int, "int | float"],
-    n: int,
-    gen: np.random.Generator,
-    summed: Collection[int] = (),
+    positions: Sequence[Categorical], cols: Sequence, n: int, gen: np.random.Generator
 ) -> np.ndarray:
     """Draw ``n`` rows by the chain rule, in ring order.
 
-    Positions in ``fixed`` keep their given value and those in ``summed``
-    are summed out; every other position is drawn from its exact conditional
-    given the fixed positions and the positions drawn before it. Returns an
-    ``(n, len(positions))`` array; summed-out columns hold NaN.
+    ``cols`` holds one entry per position, as in :func:`items`: ``None``
+    sums the position out, a length-1 column fixes it, and :data:`DRAW`
+    draws it from its exact conditional given the fixed positions and the
+    positions drawn before it. Returns an ``(n, len(positions))`` array;
+    summed-out columns hold NaN.
     """
-    mats = [
-        matrices(p, np.array([fixed[j]]))[0][0] if j in fixed else p.summed
-        for j, p in enumerate(positions)
-    ]
-    suffix = suffix_products(mats)
+    mats = [p.summed if col is DRAW else matrices(p, col)[0] for p, col in zip(positions, cols)]
+    # a fixed column is one row shared by every row, so each suffix is one matrix
+    suffix = [s.reshape(s.shape[-2:]) for s in suffix_products(mats)]
     if not np.trace(suffix[0]) > 0.0:
         raise ConditionOnNullError("conditioning event has probability zero")
-    buf = _identity_batch(mats[0].shape[0], n)
+    buf = _identity_batch(mats[0].shape[-2], n)
     out = np.full((n, len(positions)), np.nan)
-    for j, p in enumerate(positions):
-        if j in fixed or j in summed:
-            out[:, j] = fixed.get(j, np.nan)
-            buf = _multiply(buf, mats[j])
-        else:
+    for j, (p, col, mat) in enumerate(zip(positions, cols, mats)):
+        if col is DRAW:
             t = np.einsum("ca,nab->ncb", suffix[j + 1], buf)
             weights = np.einsum("ncb,sbc->ns", t, p.abs_core)
             totals = weights.sum(axis=1)
@@ -117,9 +120,9 @@ def sample(
             cum = np.cumsum(weights, axis=1)
             u = gen.random(n) * totals
             idx = np.minimum((cum <= u[:, None]).sum(axis=1), p.abs_core.shape[0] - 1)
-            value = p.draw(idx, gen)
-            out[:, j] = value
-            step, _ = p.observe(value)
-            buf = _multiply(buf, step)
-        buf, _ = _renormalize(buf, 0.0)
+            col = p.draw(idx, gen)
+            mat, _ = p.observe(col)
+        if col is not None:
+            out[:, j] = col
+        buf, _ = _renormalize(_multiply(buf, mat), 0.0)
     return out

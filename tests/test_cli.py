@@ -381,7 +381,13 @@ FIT_ATTR = ["fit", "--data", "{joint_rows}", "--attr-cols", "2", "--components",
         (FIT + ["--out", "{outdir}"], 1, "usage error:"),
         (["logprob", "--model", "{joint}", "--data", "{huge_attr}"], 2, "data error: line 2:"),
         (FIT_ATTR + ["--data", "{huge_attr}"], 2, "data error: line 2:"),
-        (FIT_ATTR + ["--data", "{huge_card}"], 2, "data error: attribute cardinalities"),
+        (FIT_ATTR + ["--data", "{huge_card}"], 2, "data error: line 2:"),
+        (["fit", "--data", "{over_cap}", "--attr-cols", "1", "--components", "1", "--core-size",
+          "1", "--epochs", "1", "--out", "{out}"], 2,
+         "data error: line 2: value 70000 out of range 0..65535"),
+        # 71 PiB is past any address space, so no host can map it, overcommit or not
+        (FIT + ["--components", "1", "--core-size", "100000000"], 2,
+         "data error: a model with 1 components, core size 100000000 "),
         (["logprob", "--model", "{joint}", "--data", "{latin1}"], 2, "data error:"),
         (FIT + ["--data", "{latin1}"], 2, "data error:"),
         (["inspect", "--model", "{latin1}"], 2, "model error:"),
@@ -392,13 +398,14 @@ FIT_ATTR = ["fit", "--data", "{joint_rows}", "--attr-cols", "2", "--components",
         "fit-reinit-period", "resample-negative", "resample-past-d", "from-text", "from-inf",
         "logprob-attribute-past-cardinality", "fit-out-missing-directory", "fit-out-directory",
         "logprob-attribute-past-int64", "fit-attribute-past-int64", "fit-attribute-7-pib",
+        "fit-attribute-over-cap", "fit-core-size-71-pib",
         "logprob-not-utf8", "fit-not-utf8", "inspect-not-utf8", "sample-seed-negative",
     ],
 )
 def test_bad_input_ends_in_exit_code(argv, code, prefix, tmp_path, capsys):
     rng = np.random.default_rng(12)
-    names = ("cont3", "joint", "data", "joint_rows", "huge_attr", "huge_card", "latin1", "outdir",
-             "out")
+    names = ("cont3", "joint", "data", "joint_rows", "huge_attr", "huge_card", "over_cap", "latin1",
+             "outdir", "out")
     paths = {name: str(tmp_path / name) for name in names}
     (tmp_path / "outdir").mkdir()
     save_model(random_trip_model(rng, [2, 2, 2]), paths["cont3"])
@@ -406,8 +413,9 @@ def test_bad_input_ends_in_exit_code(argv, code, prefix, tmp_path, capsys):
     write_csv(tmp_path / "data", rng.normal(size=(20, 3)).tolist())
     write_csv(tmp_path / "joint_rows", [[0.1, 0.2, 1], [0.3, 0.4, 5]])
     write_csv(tmp_path / "huge_attr", [[0.1, 0.2, 1], [0.3, 0.4, "99999999999999999999"]])
-    # a cardinality of 1e15 asks numpy for a 7 PiB core, which it refuses at once
+    # a cardinality of 1e15 would ask for a 7 PiB core; the category cap refuses its cell
     write_csv(tmp_path / "huge_card", [[0.1, 0.2, 1], [0.3, 0.4, 1000000000000000]])
+    write_csv(tmp_path / "over_cap", [[0.1, 1], [0.3, 70000]])
     (tmp_path / "latin1").write_bytes("0.5,0.25,caf\u00e9\n".encode("latin-1"))
     got, _, err = run(capsys, *[arg.format(**paths) for arg in argv])
     assert got == code

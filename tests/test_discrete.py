@@ -54,9 +54,10 @@ class TestLogMarginal:
     def test_batched_equals_scalar(self):
         rng = np.random.default_rng(7)
         cs = random_core_set(rng, [3, 2, 3])
-        values = np.array([[0, 1], [2, 0], [1, 1]])
+        # a -1 cell sums its variable out for that row only
+        values = np.array([[0, 1], [2, 0], [1, 1], [-1, 2], [1, -1], [-1, -1], [2, 2]])
         batch = cs.log_marginals([0, 2], values)
-        single = [cs.log_marginal({0: a, 2: b}) for a, b in values]
+        single = [cs.log_marginal({k: v for k, v in zip((0, 2), row) if v >= 0}) for row in values]
         np.testing.assert_array_equal(batch, single)
 
 

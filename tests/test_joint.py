@@ -74,8 +74,10 @@ class TestConstruction:
     def test_rejects_incompatible_ring(self):
         rng = np.random.default_rng(1)
         model = random_trip_model(rng, [2, 2])
-        with pytest.raises(trip.CoreShapeError):
-            trip.JointModel(model, [rng.standard_normal((2, 3, 3))], [0, 1, 2])
+        # unchained, non-finite and 2-D attribute cores
+        for core in (rng.standard_normal((2, 3, 3)), np.full((2, 2, 2), np.nan), np.ones((2, 2))):
+            with pytest.raises(trip.CoreShapeError):
+                trip.JointModel(model, [core], [0, 1, 2])
 
     def test_attribute_names_default(self):
         rng = np.random.default_rng(2)
@@ -213,25 +215,28 @@ class TestSampleGivenAttrs:
         assert (np.abs(draws.mean(axis=0) - mean) <= 4 * se).all()
 
     def test_conditional_histogram_chi_square(self):
-        rng = np.random.default_rng(16)
-        jm = random_joint_model(rng, [1], [2], sizes=[2])
-        y = {0: 1}
-        draws = jm.sample_given_attrs_batch(8000, y, rng=6)[:, 0]
-        # oracle conditional: mode weights restricted to the observed slice
-        table = [(w, s) for w, s, yy in joint_mode_table(jm) if yy == (1,)]
-        total = sum(w for w, _ in table)
-        w = np.array([wv / total for wv, _ in table])
-        mu = np.array([jm.trip.means[0][s[0]] for _, s in table])
-        sd = np.array([jm.trip.stds[0][s[0]] for _, s in table])
-        edges = np.quantile(draws, np.linspace(0, 1, 21))
-        edges[0], edges[-1] = -np.inf, np.inf
-        probs = np.diff(
-            [float((w * scipy.stats.norm.cdf(e, mu, sd)).sum()) for e in edges]
-        )
-        expected = len(draws) * probs
-        counts, _ = np.histogram(draws, edges)
-        chi2 = ((counts - expected) ** 2 / expected).sum()
-        assert chi2 <= scipy.stats.chi2.ppf(0.99, len(counts) - 1)
+        # the second model's attribute 1 is left missing, so the sampler sums it out
+        for cards in ([2], [2, 3]):
+            rng = np.random.default_rng(16)
+            jm = random_joint_model(rng, [1], cards, sizes=[2])
+            y = {0: 1}
+            draws = jm.sample_given_attrs_batch(8000, y, rng=6)[:, 0]
+            # oracle conditional: mode weights restricted to the observed slice,
+            # summed over the values of any missing attribute
+            table = [(w, s) for w, s, yy in joint_mode_table(jm) if yy[0] == 1]
+            total = sum(w for w, _ in table)
+            w = np.array([wv / total for wv, _ in table])
+            mu = np.array([jm.trip.means[0][s[0]] for _, s in table])
+            sd = np.array([jm.trip.stds[0][s[0]] for _, s in table])
+            edges = np.quantile(draws, np.linspace(0, 1, 21))
+            edges[0], edges[-1] = -np.inf, np.inf
+            probs = np.diff(
+                [float((w * scipy.stats.norm.cdf(e, mu, sd)).sum()) for e in edges]
+            )
+            expected = len(draws) * probs
+            counts, _ = np.histogram(draws, edges)
+            chi2 = ((counts - expected) ** 2 / expected).sum()
+            assert chi2 <= scipy.stats.chi2.ppf(0.99, len(counts) - 1)
 
     def test_uninformative_attribute_changes_nothing(self):
         # an attribute whose slices are identical says nothing about z, so
