@@ -3,10 +3,14 @@
 Means and standard deviations are initialized per dimension with a small
 1-D Gaussian-mixture EM (fixed iteration count, kmeans++-style seeding);
 cores start as standard normal noise, which the absolute-value rule turns
-into valid non-negative weights. The optimizer is Adam. Optionally, mixtures
-and cores are re-initialized from the data on a fixed epoch period, which
-mirrors how the prior is refreshed when the data stream itself drifts; on a
-static dataset it discards progress, so it is off by default.
+into valid non-negative weights. The optimizer is Adam on one flat vector, of
+which every core, mean and log-std of the fit is a view. Its layout is that of
+``param_vector``, ``model_from_vector`` and ``GradPsi.as_vector``: every core
+by variable id (latents, then attributes), then the means, then the log-stds.
+Optionally, mixtures and cores are re-initialized from the data on a fixed
+epoch period, which mirrors how the prior is refreshed when the data stream
+itself drifts; on a static dataset it discards progress, so it is off by
+default.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import numpy as np
 
 from .continuous import GaussianPosition, TripModel, gaussian_logpdf
 from .errors import DegenerateDistributionError, DivergenceError
-from .gradients import _weighted_chain_grad
-from .joint import JointModel, make_permutation
+from .gradients import _flat, _split, _weighted_chain_grad
+from .joint import JointModel, _check_permutation, make_permutation
 from .ring import Categorical
 
 EpochCallback = Callable[[int, float], None]
@@ -49,25 +53,25 @@ class FitConfig:
 
 
 class _Adam:
-    """Adam on a list of arrays, updated in place in a fixed order."""
+    """Adam on one flat parameter vector, updated in place: the moments are
+    flat arrays of its layout, and a step is five elementwise expressions."""
 
-    def __init__(self, params: Sequence[np.ndarray], config: FitConfig):
+    def __init__(self, size: int, config: FitConfig):
         self.lr = config.learning_rate
         self.b1, self.b2, self.eps = config.beta1, config.beta2, config.eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m *= self.b1
+        self.m += (1.0 - self.b1) * grad
+        self.v *= self.b2
+        self.v += (1.0 - self.b2) * grad * grad
+        theta -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
 def fit_gmm_1d(
@@ -201,33 +205,37 @@ def fit_joint_mle(
     rng = np.random.default_rng(config.seed)
     if permutation is None:
         permutation = make_permutation(d, c, rng)
-    perm = np.asarray(permutation, dtype=int)
+    perm = _check_permutation(permutation, d + c)
 
-    means = [np.empty(n_components) for _ in range(d)]
-    log_stds = [np.empty(n_components) for _ in range(d)]
-    latent_cores = [np.empty((n_components, core_size, core_size)) for _ in range(d)]
-    attr_cores = [np.empty((cv, core_size, core_size)) for cv in cards]
+    # one flat vector in the layout of param_vector; every array is a view of it
+    shapes = [(n_components, core_size, core_size)] * d
+    shapes += [(cv, core_size, core_size) for cv in cards] + [(n_components,)] * (2 * d)
+    theta = np.empty(sum(int(np.prod(s)) for s in shapes))
+    parts = _split(theta, shapes)
+    cores, means, log_stds = parts[: d + c], parts[d + c : 2 * d + c], parts[2 * d + c :]
+    # the gradient arrives in ring order: each variable's ring position, and
+    # each latent's rank among the Gaussian positions
+    where, rank = np.argsort(perm), np.argsort(perm[perm < d])
 
     def initialize() -> None:
         for j in range(d):
             mu, sd = fit_gmm_1d(latents[:, j], n_components, rng)
             means[j][:] = mu
             log_stds[j][:] = np.log(sd)
-            latent_cores[j][:] = rng.standard_normal((n_components, core_size, core_size))
+            cores[j][:] = rng.standard_normal((n_components, core_size, core_size))
         for i, cv in enumerate(cards):
-            attr_cores[i][:] = rng.standard_normal((cv, core_size, core_size))
+            cores[d + i][:] = rng.standard_normal((cv, core_size, core_size))
 
     initialize()
-    params = latent_cores + attr_cores + means + log_stds
 
     def position(p: int) -> Categorical:
         v = perm[p]
         if v < d:
-            return GaussianPosition.of(latent_cores[v], means[v], log_stds[v])
-        return Categorical.of(attr_cores[v - d])
+            return GaussianPosition.of(cores[v], means[v], log_stds[v])
+        return Categorical.of(cores[v])
 
     n = latents.shape[0]
-    opt = _Adam(params, config)
+    opt = _Adam(theta.shape[0], config)
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -238,16 +246,11 @@ def fit_joint_mle(
             batch_z, batch_y = latents[idx], attributes[idx]
             cols = [batch_z[:, v] if v < d else batch_y[:, v - d] for v in perm]
             try:
-                logp, grads = _weighted_chain_grad(position, cols, b, np.full(b, 1.0 / b))
+                logp, grad = _weighted_chain_grad(position, cols, b, np.full(b, 1.0 / b))
             except DegenerateDistributionError as exc:
                 raise DivergenceError(epoch, f"epoch {epoch}: {exc}") from exc
-            by_var = {int(v): g for v, g in zip(perm, grads)}
-            opt.step(
-                params,
-                [-by_var[v].d_core for v in range(d + c)]
-                + [-by_var[v].d_mean for v in range(d)]
-                + [-by_var[v].d_log_std for v in range(d)],
-            )
+            opt.step(theta, -_flat([grad.d_cores[p] for p in where],
+                                   [grad.d_means[r] for r in rank], [grad.d_log_stds[r] for r in rank]))
             total_logp += float(logp.sum())
         nll = -total_logp / n
         if not np.isfinite(nll):
@@ -258,12 +261,12 @@ def fit_joint_mle(
         period = config.reinit_period_epochs
         if period > 0 and (epoch + 1) % period == 0 and epoch + 1 < config.epochs:
             initialize()
-            opt = _Adam(params, config)
+            opt = _Adam(theta.shape[0], config)
     for i in nll_regression_epochs(history):
         warnings.warn(
             f"training NLL did not improve in the 10 epochs after epoch {i}",
             stacklevel=2,
         )
         break
-    trip = TripModel(latent_cores, means, log_stds=log_stds)
-    return JointModel(trip, attr_cores, perm, attribute_names)
+    trip = TripModel(cores[:d], means, log_stds=log_stds)
+    return JointModel(trip, cores[d:], perm, attribute_names)

@@ -45,17 +45,8 @@ class GradPsi:
     d_log_stds: list[np.ndarray]
 
     def as_vector(self) -> np.ndarray:
-        parts = [g.ravel() for g in self.d_cores]
-        parts += [g.ravel() for g in self.d_means]
-        parts += [g.ravel() for g in self.d_log_stds]
-        return np.concatenate(parts)
-
-
-@dataclass
-class _TermGrad:
-    d_core: np.ndarray
-    d_mean: np.ndarray | None = None
-    d_log_std: np.ndarray | None = None
+        """The gradient in the layout of :func:`param_vector`."""
+        return _flat(self.d_cores, self.d_means, self.d_log_stds)
 
 
 def _forward_item(position, col) -> tuple[np.ndarray, "np.ndarray | float", np.ndarray | None]:
@@ -94,7 +85,7 @@ def _adjoints(items: Sequence, n: int, row_weights: np.ndarray) -> tuple[np.ndar
 
 def _weighted_chain_grad(
     position: Callable[[int], ring.Categorical], cols: Sequence, n: int, row_weights: np.ndarray
-) -> tuple[np.ndarray, list[_TermGrad]]:
+) -> tuple[np.ndarray, GradPsi]:
     """Log-probabilities and the weighted sum of per-row parameter gradients.
 
     Computes ``sum_i row_weights[i] * grad log p(row_i)`` together with the
@@ -103,7 +94,8 @@ def _weighted_chain_grad(
     marks a missing categorical value). Each position is asked for once in
     the forward pass and once, last first, for its parameter gradient, so a
     caller may build positions on demand and no ``|Q|`` copy outlives its
-    use.
+    use. The gradient lists run in ring order: one core per position, and
+    one mean and log-std vector per Gaussian position.
     """
     items, gauss, norm_items = [], [], []
     for j, col in enumerate(cols):
@@ -116,10 +108,10 @@ def _weighted_chain_grad(
     lognorm, norm_adj = _adjoints(norm_items, 1, np.array([row_weights.sum()]))
     logp = logtrace - lognorm[0]
 
-    grads = []
+    d_cores, d_means, d_log_stds = [], [], []
     for j, g, h in zip(range(len(cols) - 1, -1, -1), adj, norm_adj):
         pos, col, gauss_w = position(j), cols[j], gauss[j]
-        abs_grad, d_mean, d_log_std = np.zeros_like(pos.core), None, None
+        abs_grad = np.zeros_like(pos.core)
         if gauss_w is not None:
             u = np.einsum("nab,kab->nk", g, pos.abs_core)
             e = u * gauss_w
@@ -128,8 +120,8 @@ def _weighted_chain_grad(
                 # divergence check downstream turns into a clear error
                 stds = np.exp(pos.log_stds)
                 zc = (col[:, None] - pos.means[None, :]) / stds[None, :]
-                d_mean = np.einsum("nk,nk->k", e, zc / stds[None, :])
-                d_log_std = np.einsum("nk,nk->k", e, zc * zc - 1.0)
+                d_means.append(np.einsum("nk,nk->k", e, zc / stds[None, :]))
+                d_log_stds.append(np.einsum("nk,nk->k", e, zc * zc - 1.0))
             abs_grad += np.einsum("nab,nk->kab", g, gauss_w)
         else:
             observed = col >= 0
@@ -138,19 +130,8 @@ def _weighted_chain_grad(
             if (~observed).any():
                 abs_grad += g[~observed].sum(axis=0)
         abs_grad -= h[0]
-        grads.append(_TermGrad(np.sign(pos.core) * abs_grad, d_mean, d_log_std))
-    return logp, grads[::-1]
-
-
-def _model_grad(model: TripModel, samples: np.ndarray, row_weights: np.ndarray):
-    cols = [samples[:, k] for k in range(model.d)]
-    n = samples.shape[0]
-    logp, grads = _weighted_chain_grad(model._ring.__getitem__, cols, n, row_weights)
-    return logp, GradPsi(
-        d_cores=[g.d_core for g in grads],
-        d_means=[g.d_mean for g in grads],
-        d_log_stds=[g.d_log_std for g in grads],
-    )
+        d_cores.append(np.sign(pos.core) * abs_grad)
+    return logp, GradPsi(d_cores[::-1], d_means[::-1], d_log_stds[::-1])
 
 
 def grad_log_density(model: TripModel, z: Sequence[float]) -> tuple[float, GradPsi]:
@@ -160,7 +141,7 @@ def grad_log_density(model: TripModel, z: Sequence[float]) -> tuple[float, GradP
         raise ValueError(f"z must have length d={model.d}")
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite")
-    logp, grad = _model_grad(model, z, np.ones(1))
+    logp, grad = _weighted_chain_grad(model._ring.__getitem__, list(z.T), 1, np.ones(1))
     return float(logp[0]), grad
 
 
@@ -185,7 +166,8 @@ def reinforce_grad(
         weights = np.zeros(scores.shape[0])
     else:
         weights = (scores - scores.mean()) / scores.shape[0]
-    return _model_grad(model, samples, weights)[1]
+    n = samples.shape[0]
+    return _weighted_chain_grad(model._ring.__getitem__, list(samples.T), n, weights)[1]
 
 
 def kl_and_elbo_mc(
@@ -226,29 +208,29 @@ def kl_and_elbo_mc(
 # -- flat parameter views (used by optimizers and finite-difference checks) ----
 
 
+def _flat(*groups: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays of every group, raveled and concatenated in order."""
+    return np.concatenate([a.ravel() for group in groups for a in group])
+
+
+def _split(vec: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of ``vec`` with the given shapes, in order: the inverse of :func:`_flat`."""
+    sizes = [int(np.prod(s)) for s in shapes]
+    if sum(sizes) != vec.shape[0]:
+        raise ValueError("parameter vector length mismatch")
+    return [vec[e - k : e].reshape(s) for e, k, s in zip(np.cumsum(sizes), sizes, shapes)]
+
+
 def param_vector(model: TripModel) -> np.ndarray:
-    """Stored core entries, means, and log-stds flattened into one vector."""
-    parts = [c.ravel() for c in model.cores.cores]
-    parts += [m.ravel() for m in model.means]
-    parts += [ls.ravel() for ls in model.log_stds]
-    return np.concatenate(parts)
+    """Every stored core entry, then every mean, then every log-std, in
+    dimension order: the layout of :meth:`GradPsi.as_vector`."""
+    return _flat(model.cores.cores, model.means, model.log_stds)
 
 
 def model_from_vector(template: TripModel, vec: np.ndarray) -> TripModel:
     """Rebuild a model shaped like ``template`` from a flat parameter vector."""
-    vec = np.asarray(vec, dtype=float)
-    cores, means, stds = [], [], []
-    pos = 0
-    for c in template.cores.cores:
-        size = int(np.prod(c.shape))
-        cores.append(vec[pos : pos + size].reshape(c.shape))
-        pos += size
-    for m in template.means:
-        means.append(vec[pos : pos + m.shape[0]])
-        pos += m.shape[0]
-    for ls in template.log_stds:
-        stds.append(vec[pos : pos + ls.shape[0]])
-        pos += ls.shape[0]
-    if pos != vec.shape[0]:
-        raise ValueError("parameter vector length mismatch")
-    return TripModel(cores, means, log_stds=stds)
+    d = template.d
+    groups = (template.cores.cores, template.means, template.log_stds)
+    shapes = [a.shape for group in groups for a in group]
+    parts = _split(np.asarray(vec, dtype=float), shapes)
+    return TripModel(parts[:d], parts[d : 2 * d], log_stds=parts[2 * d :])

@@ -38,6 +38,14 @@ def make_permutation(d: int, c: int, seed: "int | np.random.Generator") -> np.nd
     return _as_rng(seed).permutation(d + c)
 
 
+def _check_permutation(permutation: Sequence[int], total: int) -> np.ndarray:
+    """``permutation`` as an int array, if it orders variables ``0..total-1``."""
+    perm = np.asarray(permutation, dtype=int)
+    if sorted(perm.tolist()) != list(range(total)):
+        raise ValueError(f"permutation must be a bijection on 0..{total - 1}")
+    return perm
+
+
 class JointModel:
     """A :class:`TripModel` extended with discrete attribute variables.
 
@@ -65,18 +73,14 @@ class JointModel:
         attribute_names: Sequence[str] | None = None,
     ):
         self._trip = trip
-        perm = np.asarray(permutation, dtype=int)
-        total = trip.d + len(attribute_cores)
-        if sorted(perm.tolist()) != list(range(total)):
-            raise ValueError(f"permutation must be a bijection on 0..{total - 1}")
-        self._perm = perm
+        self._perm = _check_permutation(permutation, trip.d + len(attribute_cores))
         self._perm.flags.writeable = False
 
         # one CoreSet checks every core in ring order, naming it by ring position
         cores = CoreSet([
-            trip.cores.cores[v] if v < trip.d else attribute_cores[v - trip.d] for v in perm
+            trip.cores.cores[v] if v < trip.d else attribute_cores[v - trip.d] for v in self._perm
         ]).cores
-        self._attr_cores = tuple(cores[p] for p in np.argsort(perm)[trip.d :])
+        self._attr_cores = tuple(cores[p] for p in np.argsort(self._perm)[trip.d :])
 
         if attribute_names is None:
             attribute_names = [f"attr{i}" for i in range(self.c)]

@@ -29,7 +29,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .chain import Item, _identity_batch, _multiply, _renormalize, chain_logtrace, suffix_products
+from . import chain
+from .chain import Item, _identity_batch, chain_logtrace, suffix_products
 from .errors import ConditionOnNullError, DegenerateDistributionError
 
 
@@ -124,5 +125,6 @@ def sample(
             mat, _ = p.observe(col)
         if col is not None:
             out[:, j] = col
-        buf, _ = _renormalize(_multiply(buf, mat), 0.0)
+        # through the module, so a wrapper of chain._multiply sees these products too
+        buf, _ = chain._renormalize(chain._multiply(buf, mat), 0.0)
     return out

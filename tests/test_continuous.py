@@ -7,7 +7,7 @@ from conftest import random_trip_model
 from hypothesis import given, settings, strategies as st
 
 import trip
-from trip import oracle
+from trip import chain, oracle
 from trip.continuous import gaussian_logpdf
 
 
@@ -209,6 +209,21 @@ class TestSampling:
         np.testing.assert_array_equal(
             model.sample_batch(10, rng=5), model.sample_batch(10, rng=5)
         )
+
+
+    def test_products_go_through_chain_multiply(self, monkeypatch):
+        # wrappers of trip.chain._multiply, such as a tracer's, see every
+        # product the sampler makes: one per position
+        model = random_trip_model(np.random.default_rng(17), [2, 3, 2, 2, 3])
+        inner, shapes = chain._multiply, []
+
+        def counting(buf, mat):
+            shapes.append(buf.shape)
+            return inner(buf, mat)
+
+        monkeypatch.setattr(chain, "_multiply", counting)
+        model.sample_batch(4, rng=0)
+        assert shapes == [(4, 2, 2)] * 5
 
 
 class TestConditionalResample:

@@ -79,6 +79,47 @@ class TestGradLogDensity:
             grad_log_density(model, [0.1, np.inf])
 
 
+class TestFlatLayout:
+    """``param_vector``, ``model_from_vector`` and ``GradPsi.as_vector``
+    share one layout, on a model with unequal component counts and sizes."""
+
+    @staticmethod
+    def model():
+        return random_trip_model(np.random.default_rng(40), [2, 4, 3], [2, 3, 1])
+
+    @staticmethod
+    def groups(model):
+        return (model.cores.cores, model.means, model.log_stds)
+
+    def test_round_trip_is_bit_exact(self):
+        model = self.model()
+        back = model_from_vector(model, param_vector(model))
+        for want, got in zip(self.groups(model), self.groups(back)):
+            assert [a.shape for a in got] == [a.shape for a in want]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_gradient_entries_sit_at_their_parameters(self):
+        model = self.model()
+        _, g = grad_log_density(model, np.random.default_rng(41).normal(size=3))
+        vec, gvec = param_vector(model), g.as_vector()
+        assert gvec.shape == vec.shape
+        # random parameters are distinct, so each value names its own offset
+        offset = {float(x): i for i, x in enumerate(vec)}
+        assert len(offset) == vec.shape[0]
+        grads = (g.d_cores, g.d_means, g.d_log_stds)
+        for params, d_params in zip(self.groups(model), grads):
+            for p, dp in zip(params, d_params):
+                for idx in np.ndindex(p.shape):
+                    assert gvec[offset[float(p[idx])]] == dp[idx]
+
+    def test_rejects_wrong_length(self):
+        model = self.model()
+        vec = param_vector(model)
+        for bad in (vec[:-1], np.append(vec, 0.0)):
+            with pytest.raises(ValueError):
+                model_from_vector(model, bad)
+
+
 class TestReinforce:
     def test_constant_scores_give_exact_zero(self):
         rng = np.random.default_rng(4)

@@ -309,6 +309,18 @@ class TestJointFitting:
         assert np.exp(hi) > 0.8
         assert np.exp(lo) < 0.2
 
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1, 5], [0, 1]])
+    def test_rejects_bad_permutation_before_fitting(self, perm):
+        rng = np.random.default_rng(21)
+        epochs = []
+        with pytest.raises(ValueError, match="bijection on 0..2"):
+            trip.fit_joint_mle(
+                rng.normal(size=(10, 2)), np.zeros((10, 1), dtype=int), [2], 1, 1,
+                trip.FitConfig(epochs=1), permutation=perm,
+                on_epoch=lambda e, nll: epochs.append(e),
+            )
+        assert epochs == []
+
     def test_validates_attribute_values(self):
         with pytest.raises(ValueError):
             trip.fit_joint_mle(
