@@ -84,6 +84,17 @@ class GaussianPosition(ring.Categorical):
     def draw(self, idx: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         return self.means[idx] + np.exp(self.log_stds[idx]) * gen.standard_normal(idx.shape[0])
 
+    @staticmethod
+    def cells(block: np.ndarray, positions, dims: Sequence[int]) -> np.ndarray:
+        """``block`` as floats; raises ValueError naming the table column
+        ``dims[i]`` of a cell that is not finite."""
+        block = block.astype(float, copy=False)
+        finite = np.isfinite(block)
+        if not finite.all():
+            i = int(np.argmin(finite.all(axis=0)))
+            raise ValueError(f"column {dims[i]}: real cells must be finite")
+        return block
+
 
 @dataclass(frozen=True)
 class ParamStats:
@@ -199,46 +210,21 @@ class TripModel:
         count += 2 * sum(self.component_counts)
         return ParamStats(param_count=count, memory_bytes=8 * count)
 
-    # -- densities ------------------------------------------------------------
-    def _check_mask(self, observed: ContinuousMask) -> dict[int, float]:
-        out = {}
-        for k, z in observed.items():
-            if not 0 <= int(k) < self.d:
-                raise ValueError(f"dimension index {k} out of range for d={self.d}")
-            z = float(z)
-            if not np.isfinite(z):
-                raise ValueError(f"observed value for dimension {k} is not finite")
-            out[int(k)] = z
-        return out
+    @property
+    def _table(self) -> ring.Table:
+        return ring.Table(self._ring, range(self.d), lambda: self._cores.log_normalizer)
 
+    # -- densities ------------------------------------------------------------
     def log_density(self, observed: ContinuousMask | None = None) -> float:
         """log density of the observed values, marginalized over the rest.
 
         The empty mask returns exactly 0.0.
         """
-        observed = self._check_mask(observed or {})
-        dims = sorted(observed)
-        values = np.array([[observed[k] for k in dims]], dtype=float)
-        return float(self.log_densities(dims, values)[0])
+        return float(self.log_densities(*ring.row(observed or {}))[0])
 
     def log_densities(self, dims: Sequence[int], values: np.ndarray) -> np.ndarray:
         """Batched :meth:`log_density`: ``values`` has shape ``(n, len(dims))``."""
-        dims = [int(k) for k in dims]
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != len(dims):
-            raise ValueError("values must have shape (n, len(dims))")
-        if len(set(dims)) != len(dims):
-            raise ValueError("duplicate dims")
-        if values.shape[0] == 0:
-            return np.empty(0)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("observed values must be finite")
-        col = {k: pos for pos, k in enumerate(dims)}
-        if col and not all(0 <= k < self.d for k in col):
-            raise ValueError("dimension index out of range")
-        cols = [values[:, col[k]] if k in col else None for k in range(self.d)]
-        logp = chain_logtrace(ring.items(self._ring, cols), values.shape[0])
-        return logp - self._cores.log_normalizer
+        return self._table.log_probs(dims, values)
 
     # -- conditionals and sampling ---------------------------------------------
     def conditional_mixture_weights(self, k: int, prefix: Sequence[float]) -> np.ndarray:
@@ -246,33 +232,31 @@ class TripModel:
         k = int(k)
         if not 0 <= k < self.d:
             raise ValueError(f"dimension index {k} out of range for d={self.d}")
-        prefix = [float(z) for z in prefix]
-        if len(prefix) != k:
-            raise ValueError(f"prefix must cover dimensions 0..{k - 1} exactly")
-        observed = self._check_mask(dict(enumerate(prefix)))
         # the component of dimension k is a categorical position observed at
         # each of its values in turn, one row per value
         count = self.component_counts[k]
+        cols = [None if col is None else np.full(count, col[0])
+                for col in self._table.columns(range(k), [prefix])]
+        cols[k] = np.arange(count)
         positions = self._ring[:k] + [self._cores._ring[k]] + self._ring[k + 1 :]
-        cols = [np.full(count, observed[j]) for j in range(k)] + [np.arange(count)]
-        logw = chain_logtrace(ring.items(positions, cols + [None] * (self.d - k - 1)), count)
+        logw = chain_logtrace(ring.items(positions, cols), count)
         top = logw.max()
         if not np.isfinite(top):
             raise ConditionOnNullError("conditioning values carry zero mass")
         weights = np.exp(logw - top)
         return weights / weights.sum()
 
-    def _ancestral_sample(self, cols: Sequence, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _ancestral_sample(self, cells: Sequence, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw the :data:`~trip.ring.DRAW` dimensions in ring order, each
-        conditioned on the fixed columns and on the dimensions drawn before it."""
-        return ring.sample(self._ring, cols, n, rng)
+        conditioned on the fixed cells and on the dimensions drawn before it."""
+        return self._table.sample(cells, n, rng)
 
     def sample(self, *, rng: "int | np.random.Generator") -> np.ndarray:
         """Draw one vector by per-dimension chain-rule sampling."""
         return self.sample_batch(1, rng=rng)[0]
 
     def sample_batch(self, n: int, *, rng: "int | np.random.Generator") -> np.ndarray:
-        return self._ancestral_sample([ring.DRAW] * self.d, int(n), _as_rng(rng))
+        return self._ancestral_sample([ring.DRAW] * self.d, n, _as_rng(rng))
 
     def conditional_resample(
         self,
@@ -293,10 +277,5 @@ class TripModel:
         resample = {int(k) for k in resample_dims}
         if not resample.issubset(range(self.d)):
             raise ValueError("resample_dims out of range")
-        if not resample:
-            return current.copy()
-        cols = [ring.DRAW if k in resample else current[k : k + 1] for k in range(self.d)]
-        for k, col in enumerate(cols):
-            if col is not ring.DRAW and not np.isfinite(col[0]):
-                raise ValueError(f"observed value for dimension {k} is not finite")
-        return self._ancestral_sample(cols, 1, _as_rng(rng))[0]
+        cells = [ring.DRAW if k in resample else z for k, z in enumerate(current)]
+        return self._ancestral_sample(cells, 1, _as_rng(rng))[0]

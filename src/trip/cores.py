@@ -21,7 +21,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import ring
-from .chain import chain_logtrace
 from .errors import ConditionOnNullError, CoreShapeError
 
 # Observed entries of a partial assignment; absent variables are marginalized.
@@ -112,26 +111,16 @@ class CoreSet:
             f"core_sizes={self.core_sizes})"
         )
 
-    # -- validation helpers ---------------------------------------------------
-    def _check_mask(self, observed: AssignmentMask, name: str = "mask") -> None:
-        counts = self.category_counts
-        for k, value in observed.items():
-            if not 0 <= int(k) < self.d:
-                raise ValueError(f"{name}: variable index {k} out of range for d={self.d}")
-            if not 0 <= int(value) < counts[int(k)]:
-                raise ValueError(
-                    f"{name}: value {value} out of range for variable {k} "
-                    f"with {counts[int(k)]} categories"
-                )
+    @property
+    def _table(self) -> ring.Table:
+        return ring.Table(self._ring, range(self.d), lambda: self.log_normalizer)
 
     # -- weights and probabilities --------------------------------------------
     def unnormalized_weight(self, assignment: Sequence[int]) -> float:
-        """Trace of the ring product of the slices selected by ``assignment``."""
-        values = [int(v) for v in assignment]
-        if len(values) != self.d:
-            raise ValueError(f"assignment length {len(values)} != d={self.d}")
-        self._check_mask(dict(enumerate(values)), "assignment")
-        mats = [a[v] for a, v in zip(self.abs_cores, values)]
+        """Trace of the ring product of the slices selected by ``assignment``;
+        a ``-1`` entry sums its variable out."""
+        cols = self._table.columns(range(self.d), [assignment])
+        mats = [ring.matrices(p, c)[0].reshape(p.summed.shape) for p, c in zip(self._ring, cols)]
         return float(np.trace(reduce(np.matmul, mats)))
 
     def log_marginal(self, observed: AssignmentMask | None = None) -> float:
@@ -141,11 +130,7 @@ class CoreSet:
         :class:`DegenerateDistributionError` when the ring carries no mass at
         all; an individually impossible observation yields ``-inf``.
         """
-        observed = dict(observed or {})
-        self._check_mask(observed)
-        dims = sorted(observed)
-        values = np.array([[observed[k] for k in dims]], dtype=int)
-        return float(self.log_marginals(dims, values)[0])
+        return float(self.log_marginals(*ring.row(observed or {}))[0])
 
     def log_marginals(self, dims: Sequence[int], values: np.ndarray) -> np.ndarray:
         """Batched :meth:`log_marginal`.
@@ -154,21 +139,7 @@ class CoreSet:
         array of shape ``(n, len(dims))`` giving their values per row; a
         ``-1`` cell sums that variable out for that row.
         """
-        dims = [int(k) for k in dims]
-        values = np.asarray(values, dtype=int)
-        if values.ndim != 2 or values.shape[1] != len(dims):
-            raise ValueError("values must have shape (n, len(dims))")
-        if len(set(dims)) != len(dims):
-            raise ValueError("duplicate dims")
-        if values.shape[0] == 0:
-            return np.empty(0)
-        for pos, k in enumerate(dims):
-            self._check_mask({k: int(values[:, pos].max(initial=0))})
-            if values[:, pos].min() < -1:
-                raise ValueError(f"mask: value {values[:, pos].min()} below -1 for variable {k}")
-        col = {k: pos for pos, k in enumerate(dims)}
-        cols = [values[:, col[k]] if k in col else None for k in range(self.d)]
-        return chain_logtrace(ring.items(self._ring, cols), values.shape[0]) - self.log_normalizer
+        return self._table.log_probs(dims, values)
 
     def log_conditional(self, observed: AssignmentMask, given: AssignmentMask) -> float:
         """log p(observed | given) as a difference of marginals."""
@@ -197,9 +168,8 @@ class CoreSet:
         rng: "int | np.random.Generator",
     ) -> np.ndarray:
         """Draw ``n`` assignments; unobserved variables are sampled in ring
-        order from their exact one-variable conditionals."""
-        given = dict(given or {})
-        self._check_mask(given, "given")
+        order from their exact one-variable conditionals. A ``-1`` in
+        ``given`` sums its variable out, and its column holds ``-1``."""
+        cells = ring.entries(given or {}, self.d, ring.DRAW)
         self.log_normalizer  # a ring with no mass at all raises DegenerateDistributionError
-        cols = [np.array([given[k]]) if k in given else ring.DRAW for k in range(self.d)]
-        return ring.sample(self._ring, cols, n, _as_rng(rng)).astype(int)
+        return self._table.sample(cells, n, _as_rng(rng)).astype(int)

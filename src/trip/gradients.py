@@ -136,12 +136,8 @@ def _weighted_chain_grad(
 
 def grad_log_density(model: TripModel, z: Sequence[float]) -> tuple[float, GradPsi]:
     """Log-density at ``z`` (fully observed) and its exact parameter gradient."""
-    z = np.asarray(z, dtype=float).reshape(1, -1)
-    if z.shape[1] != model.d:
-        raise ValueError(f"z must have length d={model.d}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("z must be finite")
-    logp, grad = _weighted_chain_grad(model._ring.__getitem__, list(z.T), 1, np.ones(1))
+    cols = model._table.columns(range(model.d), np.reshape(z, (1, -1)))
+    logp, grad = _weighted_chain_grad(model._ring.__getitem__, cols, 1, np.ones(1))
     return float(logp[0]), grad
 
 
@@ -154,9 +150,8 @@ def reinforce_grad(
     constant scores therefore produce an exactly zero gradient.
     """
     samples = np.asarray(samples, dtype=float)
+    cols = model._table.columns(range(model.d), samples)
     scores = np.asarray(scores, dtype=float).reshape(-1)
-    if samples.ndim != 2 or samples.shape[1] != model.d:
-        raise ValueError(f"samples must have shape (l, {model.d})")
     if scores.shape[0] != samples.shape[0]:
         raise ValueError("scores must match samples")
     if scores.shape[0] < 2:
@@ -167,7 +162,7 @@ def reinforce_grad(
     else:
         weights = (scores - scores.mean()) / scores.shape[0]
     n = samples.shape[0]
-    return _weighted_chain_grad(model._ring.__getitem__, list(samples.T), n, weights)[1]
+    return _weighted_chain_grad(model._ring.__getitem__, cols, n, weights)[1]
 
 
 def kl_and_elbo_mc(

@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import ring
-from .chain import chain_logtrace
 from .continuous import ContinuousMask, TripModel
 from .continuous import observed_matrix  # noqa: F401  (a lookup site of bench/tracer.py)
 from .cores import CoreSet, _as_rng
@@ -39,8 +38,8 @@ def make_permutation(d: int, c: int, seed: "int | np.random.Generator") -> np.nd
 
 
 def _check_permutation(permutation: Sequence[int], total: int) -> np.ndarray:
-    """``permutation`` as an int array, if it orders variables ``0..total-1``."""
-    perm = np.asarray(permutation, dtype=int)
+    """A copy of ``permutation`` as an int array, if it orders variables ``0..total-1``."""
+    perm = np.array(permutation, dtype=int)
     if sorted(perm.tolist()) != list(range(total)):
         raise ValueError(f"permutation must be a bijection on 0..{total - 1}")
     return perm
@@ -127,26 +126,15 @@ class JointModel:
     def log_normalizer(self) -> float:
         return ring.log_normalizer(self._ring)
 
+    @property
+    def _table(self) -> ring.Table:
+        return ring.Table(self._ring, np.argsort(self._perm), lambda: self.log_normalizer)
+
     def __repr__(self) -> str:
         return (
             f"JointModel(d={self.d}, c={self.c}, "
             f"cardinalities={self.cardinalities}, permutation={self._perm.tolist()})"
         )
-
-    # -- validation ------------------------------------------------------------
-    def _check_attrs(self, attrs: PartialAttributes) -> dict[int, int]:
-        cards = self.cardinalities
-        out = {}
-        for i, value in attrs.items():
-            i, value = int(i), int(value)
-            if not 0 <= i < self.c:
-                raise ValueError(f"attribute index {i} out of range for c={self.c}")
-            if not 0 <= value < cards[i]:
-                raise ValueError(
-                    f"attribute {i} value {value} out of range (cardinality {cards[i]})"
-                )
-            out[i] = value
-        return out
 
     # -- evaluation --------------------------------------------------------------
     def log_joint(
@@ -156,13 +144,8 @@ class JointModel:
     ) -> float:
         """Normalized log p of observed latents and attributes, everything
         else marginalized. The empty call returns exactly 0.0."""
-        z_observed = self._trip._check_mask(z_observed or {})
-        attrs = self._check_attrs(attrs or {})
-        z_dims = sorted(z_observed)
-        z_values = np.array([[z_observed[k] for k in z_dims]], dtype=float)
-        attr_values = np.full((1, self.c), -1, dtype=int)
-        for i, v in attrs.items():
-            attr_values[0, i] = v
+        z_dims, z_values = ring.row(z_observed or {})
+        attr_values = [ring.entries(attrs or {}, self.c, -1)]
         return float(self.log_joints(z_dims, z_values, attr_values)[0])
 
     def log_joints(
@@ -172,42 +155,20 @@ class JointModel:
         attr_values: np.ndarray,
     ) -> np.ndarray:
         """Batched :meth:`log_joint`. ``attr_values`` is ``(n, c)`` with ``-1``
-        marking missing entries; ``z_values`` is ``(n, len(latent_dims))``."""
-        latent_dims = [int(k) for k in latent_dims]
+        marking missing entries; ``z_values`` is ``(n, len(latent_dims))``.
+        Rows are checked as cells of the table whose columns are the latents,
+        then the attributes."""
+        latent_dims = list(latent_dims)
         z_values = np.asarray(z_values, dtype=float)
-        attr_values = np.asarray(attr_values, dtype=int)
-        n = z_values.shape[0] if z_values.ndim == 2 else attr_values.shape[0]
-        if z_values.ndim != 2 or z_values.shape != (n, len(latent_dims)):
+        if z_values.ndim != 2 or z_values.shape[1] != len(latent_dims):
             raise ValueError("z_values must have shape (n, len(latent_dims))")
-        if attr_values.shape != (n, self.c):
-            raise ValueError(f"attr_values must have shape (n, {self.c})")
-        if len(set(latent_dims)) != len(latent_dims):
-            raise ValueError("duplicate latent dims")
-        if not all(0 <= k < self.d for k in latent_dims):
-            raise ValueError("latent dimension index out of range")
-        if n == 0:
-            return np.empty(0)
-        if len(latent_dims) and not np.all(np.isfinite(z_values)):
-            raise ValueError("observed latent values must be finite")
-        for i in range(self.c):
-            col = attr_values[:, i]
-            if col.max(initial=-1) >= self.cardinalities[i] or col.min(initial=-1) < -1:
-                raise ValueError(f"attribute {i} value out of range")
-        col_of = {k: pos for pos, k in enumerate(latent_dims)}
-        cols = [
-            attr_values[:, v - self.d] if v >= self.d
-            else z_values[:, col_of[v]] if v in col_of else None
-            for v in self._perm
-        ]
-        return chain_logtrace(ring.items(self._ring, cols), n) - self.log_normalizer
+        dims = latent_dims + list(range(self.d, self.d + self.c))
+        return self._table.log_probs(dims, np.hstack([z_values, attr_values]))
 
     def log_attr_given_z(self, z: Sequence[float], attrs: PartialAttributes) -> float:
         """log p(observed attributes | z) for a fully observed latent vector."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.d,):
-            raise ValueError(f"z must be a full vector of length d={self.d}")
-        z_mask = dict(enumerate(z))
-        return self.log_joint(z_mask, attrs) - self.log_joint(z_mask, {})
+        joint = self.log_joints(range(self.d), [z], [ring.entries(attrs, self.c, -1)])
+        return float(joint[0] - self.log_joints(range(self.d), [z], [[-1] * self.c])[0])
 
     # -- sampling ------------------------------------------------------------------
     def sample_given_attrs(
@@ -224,11 +185,5 @@ class JointModel:
         *,
         rng: "int | np.random.Generator",
     ) -> np.ndarray:
-        attrs = self._check_attrs(attrs or {})
-        cols = [
-            ring.DRAW if v < self.d
-            else np.array([attrs[v - self.d]]) if v - self.d in attrs else None
-            for v in self._perm
-        ]
-        draws = ring.sample(self._ring, cols, int(n), _as_rng(rng))
-        return draws[:, np.argsort(self._perm)[: self.d]]
+        cells = [ring.DRAW] * self.d + ring.entries(attrs or {}, self.c, None)
+        return self._table.sample(cells, n, _as_rng(rng))[:, : self.d]

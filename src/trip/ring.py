@@ -20,12 +20,21 @@ observes it: one value per row, or one value shared by every row when the
 array has length 1 (a fixed condition). A ``-1`` in a categorical column sums
 the position out for that row only. :func:`sample` takes one more entry,
 :data:`DRAW`, for a position whose value it draws.
+
+Every model shows its public arguments to the engine as one :class:`Table`:
+its ring positions plus the ring position of each table column. A discrete
+or continuous model's columns are its variables in ring order; a joint
+model's are its latents, then its attributes. The table checks every
+argument once, whichever model and method it came through: the shape of the
+values, then duplicate or out-of-range columns, then each cell, by the kind
+of its position. A categorical cell is an integer in ``-1..C-1`` (a float
+with an integral value counts); a real cell is a finite float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -63,6 +72,22 @@ class Categorical:
     def draw(self, idx: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         """The observation of a row whose slice ``idx`` was drawn."""
         return idx
+
+    @staticmethod
+    def cells(
+        block: np.ndarray, positions: Sequence["Categorical"], dims: Sequence[int]
+    ) -> np.ndarray:
+        """``block``, one column per position, as category indices; raises
+        ValueError naming the table column ``dims[i]`` of a bad cell."""
+        counts = np.array([p.abs_core.shape[0] for p in positions])
+        bad = ~((block.min(axis=0, initial=-1) >= -1) & (block.max(axis=0, initial=-1) < counts))
+        if block.dtype.kind == "f":
+            bad |= (np.floor(block) != block).any(axis=0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"column {dims[i]}: categorical cells must be integers "
+                             f"in -1..{counts[i] - 1}")
+        return block.astype(int, copy=False)
 
 
 # the entry of ``cols`` that :func:`sample` draws
@@ -128,3 +153,76 @@ def sample(
         # through the module, so a wrapper of chain._multiply sees these products too
         buf, _ = chain._renormalize(chain._multiply(buf, mat), 0.0)
     return out
+
+
+@dataclass(frozen=True)
+class Table:
+    """``positions`` in ring order, ``ring_of[j]`` the ring position of table
+    column ``j``, and the model's ``log_normalizer``, read only when needed."""
+
+    positions: Sequence[Categorical]
+    ring_of: Sequence[int]
+    log_normalizer: Callable[[], float]
+
+    def columns(self, dims: Sequence[int], values) -> list:
+        """Ring-order ``cols`` observing table columns ``dims`` at ``values``,
+        an ``(n, len(dims))`` array; every other position is summed out.
+        Raises ValueError on a bad shape, column or cell."""
+        keys = list(dims)
+        dims = [int(k) for k in keys]
+        values = np.asarray(values)
+        if values.dtype.kind not in "if":
+            values = values.astype(float)
+        if values.ndim != 2 or values.shape[1] != len(dims):
+            raise ValueError("values must have shape (n, len(dims))")
+        width = len(self.ring_of)
+        if dims != keys or len(set(dims)) != len(dims) or not all(0 <= k < width for k in dims):
+            raise ValueError(f"dims must be distinct integer table columns in 0..{width - 1}")
+        at = [self.ring_of[k] for k in dims]
+        kinds = [type(self.positions[r]) for r in at]
+        cols: list = [None] * len(self.positions)
+        for kind in dict.fromkeys(kinds):  # one vectorized check per position kind
+            idx = [i for i, t in enumerate(kinds) if t is kind]
+            # adjacent columns, such as a joint table's latents, are a view, not a copy
+            take = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
+            block = kind.cells(values[:, take], [self.positions[at[i]] for i in idx],
+                               [dims[i] for i in idx])
+            for i, col in zip(idx, block.T):
+                cols[at[i]] = col
+        return cols
+
+    def log_probs(self, dims: Sequence[int], values) -> np.ndarray:
+        """Normalized log-probability of each row of ``values`` at table
+        columns ``dims``, every other column summed out."""
+        cols = self.columns(dims, values)
+        n = len(values)
+        if n == 0:
+            return np.empty(0)
+        return chain_logtrace(items(self.positions, cols), n) - self.log_normalizer()
+
+    def sample(self, entries: Sequence, n: int, gen: np.random.Generator) -> np.ndarray:
+        """:func:`sample` on one entry per table column: :data:`DRAW`, ``None``
+        (summed out) or a fixed cell. Returns the draws in table order."""
+        fixed = [j for j, e in enumerate(entries) if e is not DRAW and e is not None]
+        cols = self.columns(fixed, [[entries[j] for j in fixed]])
+        for j, e in enumerate(entries):
+            if e is DRAW:
+                cols[self.ring_of[j]] = DRAW
+        return sample(self.positions, cols, int(n), gen)[:, self.ring_of]
+
+
+def entries(cells: Mapping[int, object], count: int, absent) -> list:
+    """``cells`` as a list of ``count`` table entries, ``absent`` at every
+    column it leaves out; raises ValueError on a column outside ``0..count-1``."""
+    out = [absent] * count
+    for k, value in cells.items():
+        if k != int(k) or not 0 <= k < count:
+            raise ValueError(f"index {k} is not a column in 0..{count - 1}")
+        out[int(k)] = value
+    return out
+
+
+def row(cells: Mapping[int, object]) -> tuple[list[int], list[list]]:
+    """``(dims, values)`` of one table row observing the columns of ``cells``."""
+    dims = sorted(cells)
+    return dims, [[cells[k] for k in dims]]

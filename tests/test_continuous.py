@@ -233,6 +233,8 @@ class TestConditionalResample:
         current = np.array([0.3, -0.7])
         out = model.conditional_resample(current, [], rng=0)
         np.testing.assert_array_equal(out, current)
+        with pytest.raises(ValueError):  # the cells are checked all the same
+            model.conditional_resample(np.array([np.nan, 0.0]), [], rng=0)
 
     def test_full_set_matches_sample_under_same_seed(self):
         rng = np.random.default_rng(15)

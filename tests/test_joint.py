@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from conftest import random_joint_model, random_trip_model
+from conftest import random_core_set, random_joint_model, random_trip_model
 
 import trip
 from trip import oracle
@@ -79,6 +79,18 @@ class TestConstruction:
             with pytest.raises(trip.CoreShapeError):
                 trip.JointModel(model, [core], [0, 1, 2])
 
+    def test_leaves_callers_permutation_writable(self):
+        rng = np.random.default_rng(2)
+        model = random_trip_model(rng, [2, 2])
+        perm = trip.make_permutation(2, 1, 0)
+        jm = trip.JointModel(model, [rng.standard_normal((2, 2, 2))], perm)
+        perm[0] = perm[0]
+        assert not jm.permutation.flags.writeable
+        fit_perm = np.array([0, 2, 1])
+        trip.fit_joint_mle(rng.normal(size=(8, 2)), np.zeros((8, 1), dtype=int), [2], 1, 1,
+                           trip.FitConfig(epochs=1), permutation=fit_perm)
+        fit_perm[0] = fit_perm[0]
+
     def test_attribute_names_default(self):
         rng = np.random.default_rng(2)
         jm = random_joint_model(rng, [2, 2], [2, 3])
@@ -150,13 +162,20 @@ class TestLogJoint:
         with pytest.raises(ValueError):
             jm.log_joint({}, {0: 2})
 
-    @pytest.mark.parametrize("dims", [[7], [-1], [3], [0, 0]])
+    @pytest.mark.parametrize("dims", [[7], [-1], [3], [0, 0], [999], [0.5]])
     def test_batched_rejects_bad_latent_dims(self, dims):
-        # an unchecked index would drop its column and silently sum it out
+        # an unchecked index would drop its column and silently sum it out;
+        # indices are checked before an empty batch returns, in every model
         rng = np.random.default_rng(9)
         jm = random_joint_model(rng, [2, 2, 2], [2])
-        with pytest.raises(ValueError):
-            jm.log_joints(dims, np.full((1, len(dims)), 0.5), [[-1]])
+        for n in (1, 0):
+            with pytest.raises(ValueError):
+                jm.log_joints(dims, np.full((n, len(dims)), 0.5), np.full((n, 1), -1))
+            if dims != [3]:  # column 3 is the attribute of the joint table only
+                with pytest.raises(ValueError):
+                    jm.trip.log_densities(dims, np.full((n, len(dims)), 0.5))
+                with pytest.raises(ValueError):
+                    jm.trip.cores.log_marginals(dims, np.zeros((n, len(dims)), dtype=int))
 
     def test_permutation_changes_values_not_invariants(self):
         rng = np.random.default_rng(10)
@@ -170,6 +189,31 @@ class TestLogJoint:
             total = sum(np.exp(jm.log_joint(z, {0: y})) for y in range(2))
             assert total == pytest.approx(np.exp(jm.log_joint(z, {})), rel=1e-10)
             assert jm.log_joint({}, {}) == 0.0
+
+
+def test_non_integral_categorical_cells_rejected():
+    # each entry point once, with one cell of 1.7 where an integer belongs
+    rng = np.random.default_rng(15)
+    jm = random_joint_model(rng, [2, 2], [3])
+    cs = random_core_set(rng, [3, 3])
+    cases = [
+        lambda: cs.log_marginal({0: 1.7}),
+        lambda: cs.log_marginals([1], np.array([[0.0], [1.7]])),
+        lambda: cs.unnormalized_weight([0, 1.7]),
+        lambda: cs.sample({0: 1.7}, rng=0),
+        lambda: cs.sample_batch(2, {0: 1.7}, rng=0),
+        lambda: jm.log_joint({0: 0.1}, {0: 1.7}),
+        lambda: jm.log_joints([0], np.array([[0.1], [0.2]]), np.array([[0.0], [1.7]])),
+        lambda: jm.sample_given_attrs({0: 1.7}, rng=0),
+        lambda: jm.sample_given_attrs_batch(2, {0: 1.7}, rng=0),
+    ]
+    for case in cases:
+        with pytest.raises(ValueError, match="integers in -1"):
+            case()
+    # an integral float is a category and -1 sums its cell out, as in the CLI's cells
+    assert cs.log_marginal({0: 1.0}) == cs.log_marginal({0: 1})
+    assert cs.log_marginal({0: -1, 1: 2}) == cs.log_marginal({1: 2})
+    assert jm.log_joint({0: 0.1}, {0: -1}) == jm.log_joint({0: 0.1})
 
 
 class TestAttrGivenZ:
