@@ -224,19 +224,17 @@ class TripModel:
 
     def log_densities(self, dims: Sequence[int], values: np.ndarray) -> np.ndarray:
         """Batched :meth:`log_density`: ``values`` has shape ``(n, len(dims))``."""
-        return self._table.log_probs(dims, values)
+        return self._table.log_probs((dims, values))
 
     # -- conditionals and sampling ---------------------------------------------
     def conditional_mixture_weights(self, k: int, prefix: Sequence[float]) -> np.ndarray:
         """Component probabilities of dimension ``k`` given values of 0..k-1."""
-        k = int(k)
-        if not 0 <= k < self.d:
-            raise ValueError(f"dimension index {k} out of range for d={self.d}")
+        k = ring.column(k, self.d)
         # the component of dimension k is a categorical position observed at
         # each of its values in turn, one row per value
         count = self.component_counts[k]
         cols = [None if col is None else np.full(count, col[0])
-                for col in self._table.columns(range(k), [prefix])]
+                for col in self._table.columns((range(k), [prefix]))]
         cols[k] = np.arange(count)
         positions = self._ring[:k] + [self._cores._ring[k]] + self._ring[k + 1 :]
         logw = chain_logtrace(ring.items(positions, cols), count)
@@ -274,8 +272,6 @@ class TripModel:
         current = np.asarray(current, dtype=float)
         if current.shape != (self.d,):
             raise ValueError(f"current must be a vector of length d={self.d}")
-        resample = {int(k) for k in resample_dims}
-        if not resample.issubset(range(self.d)):
-            raise ValueError("resample_dims out of range")
-        cells = [ring.DRAW if k in resample else z for k, z in enumerate(current)]
+        draw = ring.entries(dict.fromkeys(resample_dims, True), self.d, False)
+        cells = [ring.DRAW if redraw else z for redraw, z in zip(draw, current)]
         return self._ancestral_sample(cells, 1, _as_rng(rng))[0]

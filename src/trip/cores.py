@@ -119,7 +119,7 @@ class CoreSet:
     def unnormalized_weight(self, assignment: Sequence[int]) -> float:
         """Trace of the ring product of the slices selected by ``assignment``;
         a ``-1`` entry sums its variable out."""
-        cols = self._table.columns(range(self.d), [assignment])
+        cols = self._table.columns((range(self.d), [assignment]))
         mats = [ring.matrices(p, c)[0].reshape(p.summed.shape) for p, c in zip(self._ring, cols)]
         return float(np.trace(reduce(np.matmul, mats)))
 
@@ -139,7 +139,7 @@ class CoreSet:
         array of shape ``(n, len(dims))`` giving their values per row; a
         ``-1`` cell sums that variable out for that row.
         """
-        return self._table.log_probs(dims, values)
+        return self._table.log_probs((dims, values))
 
     def log_conditional(self, observed: AssignmentMask, given: AssignmentMask) -> float:
         """log p(observed | given) as a difference of marginals."""

@@ -7,10 +7,10 @@ into valid non-negative weights. The optimizer is Adam on one flat vector, of
 which every core, mean and log-std of the fit is a view. Its layout is that of
 ``param_vector``, ``model_from_vector`` and ``GradPsi.as_vector``: every core
 by variable id (latents, then attributes), then the means, then the log-stds.
-Optionally, mixtures and cores are re-initialized from the data on a fixed
-epoch period, which mirrors how the prior is refreshed when the data stream
-itself drifts; on a static dataset it discards progress, so it is off by
-default.
+The data's cells follow the rules of the fitted model's table. Optionally,
+mixtures and cores are re-initialized from the data on a fixed epoch period,
+which mirrors how the prior is refreshed when the data stream itself drifts;
+on a static dataset it discards progress, so it is off by default.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .continuous import GaussianPosition, TripModel, gaussian_logpdf
 from .errors import DegenerateDistributionError, DivergenceError
 from .gradients import _flat, _split, _weighted_chain_grad
 from .joint import JointModel, _check_permutation, make_permutation
-from .ring import Categorical
+from .ring import Categorical, Table
 
 EpochCallback = Callable[[int, float], None]
 
@@ -142,8 +142,6 @@ def _check_data(data: np.ndarray) -> np.ndarray:
         data = data[:, None]
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("data must be an (n, d) matrix with at least one row")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("data contains non-finite values")
     return data
 
 
@@ -181,25 +179,21 @@ def fit_joint_mle(
 ) -> JointModel:
     """Fit a joint latent-attribute model by maximizing mean log p(z, y_ob).
 
-    ``attributes`` is an ``(n, c)`` integer matrix; ``-1`` marks a missing
-    value, which enters the likelihood through exact marginalization rather
-    than imputation.
+    ``attributes`` is an ``(n, c)`` matrix of categorical cells; ``-1``
+    marks a missing value, which enters the likelihood through exact
+    marginalization rather than imputation.
     """
     latents = _check_data(latents)
     config = config or FitConfig()
-    attributes = np.asarray(attributes, dtype=int)
+    attributes = np.asarray(attributes)
     if attributes.ndim != 2 or attributes.shape[0] != latents.shape[0]:
         raise ValueError("attributes must be (n, c) aligned with latents")
-    cards = [int(cv) for cv in cardinalities]
+    sizes = [n_components, core_size, *cardinalities]
+    if not all(float(s).is_integer() and s >= 1 for s in sizes):  # an integral float counts
+        raise ValueError("n_components, core_size and cardinalities must be integers >= 1")
+    n_components, core_size, *cards = (int(s) for s in sizes)
     if attributes.shape[1] != len(cards):
         raise ValueError("one cardinality per attribute column required")
-    for i, cv in enumerate(cards):
-        col = attributes[:, i]
-        if cv < 1 or col.max(initial=-1) >= cv or col.min(initial=-1) < -1:
-            raise ValueError(f"attribute column {i} out of range for cardinality {cv}")
-    n_components, core_size = int(n_components), int(core_size)
-    if n_components < 1 or core_size < 1:
-        raise ValueError("n_components and core_size must be >= 1")
 
     d, c = latents.shape[1], len(cards)
     rng = np.random.default_rng(config.seed)
@@ -210,12 +204,22 @@ def fit_joint_mle(
     # one flat vector in the layout of param_vector; every array is a view of it
     shapes = [(n_components, core_size, core_size)] * d
     shapes += [(cv, core_size, core_size) for cv in cards] + [(n_components,)] * (2 * d)
-    theta = np.empty(sum(int(np.prod(s)) for s in shapes))
+    theta = np.zeros(sum(int(np.prod(s)) for s in shapes))
     parts = _split(theta, shapes)
     cores, means, log_stds = parts[: d + c], parts[d + c : 2 * d + c], parts[2 * d + c :]
     # the gradient arrives in ring order: each variable's ring position, and
     # each latent's rank among the Gaussian positions
     where, rank = np.argsort(perm), np.argsort(perm[perm < d])
+
+    def position(p: int) -> Categorical:
+        v = perm[p]
+        if v < d:
+            return GaussianPosition.of(cores[v], means[v], log_stds[v])
+        return Categorical.of(cores[v])
+
+    # the data in ring order, checked by the ring's table (kinds and slice counts only)
+    cols = Table([position(p) for p in range(d + c)], where, None).columns(
+        (range(d), latents), (range(d, d + c), attributes))
 
     def initialize() -> None:
         for j in range(d):
@@ -228,12 +232,6 @@ def fit_joint_mle(
 
     initialize()
 
-    def position(p: int) -> Categorical:
-        v = perm[p]
-        if v < d:
-            return GaussianPosition.of(cores[v], means[v], log_stds[v])
-        return Categorical.of(cores[v])
-
     n = latents.shape[0]
     opt = _Adam(theta.shape[0], config)
     history: list[float] = []
@@ -243,10 +241,9 @@ def fit_joint_mle(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             b = idx.shape[0]
-            batch_z, batch_y = latents[idx], attributes[idx]
-            cols = [batch_z[:, v] if v < d else batch_y[:, v - d] for v in perm]
+            batch = [col[idx] for col in cols]
             try:
-                logp, grad = _weighted_chain_grad(position, cols, b, np.full(b, 1.0 / b))
+                logp, grad = _weighted_chain_grad(position, batch, b, np.full(b, 1.0 / b))
             except DegenerateDistributionError as exc:
                 raise DivergenceError(epoch, f"epoch {epoch}: {exc}") from exc
             opt.step(theta, -_flat([grad.d_cores[p] for p in where],

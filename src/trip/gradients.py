@@ -136,7 +136,7 @@ def _weighted_chain_grad(
 
 def grad_log_density(model: TripModel, z: Sequence[float]) -> tuple[float, GradPsi]:
     """Log-density at ``z`` (fully observed) and its exact parameter gradient."""
-    cols = model._table.columns(range(model.d), np.reshape(z, (1, -1)))
+    cols = model._table.columns((range(model.d), np.reshape(z, (1, -1))))
     logp, grad = _weighted_chain_grad(model._ring.__getitem__, cols, 1, np.ones(1))
     return float(logp[0]), grad
 
@@ -150,7 +150,7 @@ def reinforce_grad(
     constant scores therefore produce an exactly zero gradient.
     """
     samples = np.asarray(samples, dtype=float)
-    cols = model._table.columns(range(model.d), samples)
+    cols = model._table.columns((range(model.d), samples))
     scores = np.asarray(scores, dtype=float).reshape(-1)
     if scores.shape[0] != samples.shape[0]:
         raise ValueError("scores must match samples")

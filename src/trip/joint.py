@@ -156,14 +156,10 @@ class JointModel:
     ) -> np.ndarray:
         """Batched :meth:`log_joint`. ``attr_values`` is ``(n, c)`` with ``-1``
         marking missing entries; ``z_values`` is ``(n, len(latent_dims))``.
-        Rows are checked as cells of the table whose columns are the latents,
-        then the attributes."""
-        latent_dims = list(latent_dims)
-        z_values = np.asarray(z_values, dtype=float)
-        if z_values.ndim != 2 or z_values.shape[1] != len(latent_dims):
-            raise ValueError("z_values must have shape (n, len(latent_dims))")
-        dims = latent_dims + list(range(self.d, self.d + self.c))
-        return self._table.log_probs(dims, np.hstack([z_values, attr_values]))
+        The two arrays are checked in place as two blocks of the table whose
+        columns are the latents, then the attributes."""
+        attr_dims = range(self.d, self.d + self.c)
+        return self._table.log_probs((latent_dims, z_values), (attr_dims, attr_values))
 
     def log_attr_given_z(self, z: Sequence[float], attrs: PartialAttributes) -> float:
         """log p(observed attributes | z) for a fully observed latent vector."""

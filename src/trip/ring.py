@@ -24,11 +24,12 @@ the position out for that row only. :func:`sample` takes one more entry,
 Every model shows its public arguments to the engine as one :class:`Table`:
 its ring positions plus the ring position of each table column. A discrete
 or continuous model's columns are its variables in ring order; a joint
-model's are its latents, then its attributes. The table checks every
-argument once, whichever model and method it came through: the shape of the
-values, then duplicate or out-of-range columns, then each cell, by the kind
-of its position. A categorical cell is an integer in ``-1..C-1`` (a float
-with an integral value counts); a real cell is a finite float.
+model's are its latents, then its attributes, and a fit reads its data
+through the table of its ring. The table checks one or more ``(dims, values)``
+blocks in place, whichever entry point they came through: each block's shape
+``(n, len(dims))``, then duplicate or out-of-range columns, then each cell by
+the kind of its position. A categorical cell is an integer in ``-1..C-1`` (an
+integral float counts); a real cell is a finite float.
 """
 
 from __future__ import annotations
@@ -164,38 +165,38 @@ class Table:
     ring_of: Sequence[int]
     log_normalizer: Callable[[], float]
 
-    def columns(self, dims: Sequence[int], values) -> list:
-        """Ring-order ``cols`` observing table columns ``dims`` at ``values``,
-        an ``(n, len(dims))`` array; every other position is summed out.
-        Raises ValueError on a bad shape, column or cell."""
-        keys = list(dims)
-        dims = [int(k) for k in keys]
-        values = np.asarray(values)
-        if values.dtype.kind not in "if":
-            values = values.astype(float)
-        if values.ndim != 2 or values.shape[1] != len(dims):
-            raise ValueError("values must have shape (n, len(dims))")
-        width = len(self.ring_of)
-        if dims != keys or len(set(dims)) != len(dims) or not all(0 <= k < width for k in dims):
-            raise ValueError(f"dims must be distinct integer table columns in 0..{width - 1}")
-        at = [self.ring_of[k] for k in dims]
-        kinds = [type(self.positions[r]) for r in at]
+    def columns(self, *blocks: tuple) -> list:
+        """Ring-order ``cols`` observing, for each ``(dims, values)`` block, table
+        columns ``dims`` at an ``(n, len(dims))`` array, one ``n`` for all blocks;
+        other positions are summed out. Raises ValueError on a bad shape, column
+        or cell. Adjacent same-kind columns needing no conversion are views."""
+        pairs = [(list(dims), np.asarray(values)) for dims, values in blocks]
+        n = pairs[0][1].shape[:1]
+        if any(values.ndim != 2 or values.shape != (*n, len(dims)) for dims, values in pairs):
+            raise ValueError("values must have shape (n, len(dims)), one n for every block")
+        keys = [column(k, len(self.ring_of)) for dims, _ in pairs for k in dims]
+        if len(set(keys)) != len(keys):
+            raise ValueError("dims must be distinct table columns")
         cols: list = [None] * len(self.positions)
-        for kind in dict.fromkeys(kinds):  # one vectorized check per position kind
-            idx = [i for i, t in enumerate(kinds) if t is kind]
-            # adjacent columns, such as a joint table's latents, are a view, not a copy
-            take = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
-            block = kind.cells(values[:, take], [self.positions[at[i]] for i in idx],
-                               [dims[i] for i in idx])
-            for i, col in zip(idx, block.T):
-                cols[at[i]] = col
+        for dims, values in pairs:
+            if values.dtype.kind not in "if":
+                values = values.astype(float)
+            at = [self.ring_of[int(k)] for k in dims]
+            kinds = [type(self.positions[r]) for r in at]
+            for kind in dict.fromkeys(kinds):  # one vectorized check per position kind
+                idx = [i for i, t in enumerate(kinds) if t is kind]
+                take = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
+                cells = kind.cells(values[:, take], [self.positions[at[i]] for i in idx],
+                                   [int(dims[i]) for i in idx])
+                for i, col in zip(idx, cells.T):
+                    cols[at[i]] = col
         return cols
 
-    def log_probs(self, dims: Sequence[int], values) -> np.ndarray:
-        """Normalized log-probability of each row of ``values`` at table
-        columns ``dims``, every other column summed out."""
-        cols = self.columns(dims, values)
-        n = len(values)
+    def log_probs(self, *blocks: tuple) -> np.ndarray:
+        """Normalized log-probability of each row of the ``(dims, values)``
+        blocks, as in :meth:`columns`, every other column summed out."""
+        cols = self.columns(*blocks)
+        n = len(blocks[0][1])
         if n == 0:
             return np.empty(0)
         return chain_logtrace(items(self.positions, cols), n) - self.log_normalizer()
@@ -203,22 +204,30 @@ class Table:
     def sample(self, entries: Sequence, n: int, gen: np.random.Generator) -> np.ndarray:
         """:func:`sample` on one entry per table column: :data:`DRAW`, ``None``
         (summed out) or a fixed cell. Returns the draws in table order."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
         fixed = [j for j, e in enumerate(entries) if e is not DRAW and e is not None]
-        cols = self.columns(fixed, [[entries[j] for j in fixed]])
+        cols = self.columns((fixed, [[entries[j] for j in fixed]]))
         for j, e in enumerate(entries):
             if e is DRAW:
                 cols[self.ring_of[j]] = DRAW
         return sample(self.positions, cols, int(n), gen)[:, self.ring_of]
 
 
+def column(k, count: int) -> int:
+    """``k`` as an int; raises ValueError unless it is integral and in ``0..count-1``."""
+    if k != int(k) or not 0 <= k < count:
+        raise ValueError(f"index {k} is not a column in 0..{count - 1}")
+    return int(k)
+
+
 def entries(cells: Mapping[int, object], count: int, absent) -> list:
     """``cells`` as a list of ``count`` table entries, ``absent`` at every
-    column it leaves out; raises ValueError on a column outside ``0..count-1``."""
+    column it leaves out; raises ValueError on a key that is not a
+    :func:`column`."""
     out = [absent] * count
     for k, value in cells.items():
-        if k != int(k) or not 0 <= k < count:
-            raise ValueError(f"index {k} is not a column in 0..{count - 1}")
-        out[int(k)] = value
+        out[column(k, count)] = value
     return out
 
 

@@ -281,8 +281,14 @@ class TestConditionalResample:
     def test_out_of_range_dim_rejected(self):
         rng = np.random.default_rng(18)
         model = random_trip_model(rng, [2, 2])
+        # a non-integral index must not read as the dimension it truncates to
+        for dims in ([5], [0.5], [-1]):
+            with pytest.raises(ValueError):
+                model.conditional_resample(np.zeros(2), dims, rng=0)
         with pytest.raises(ValueError):
-            model.conditional_resample(np.zeros(2), [5], rng=0)
+            model.conditional_resample([0.3, 0.4], [0.5], rng=0)
+        with pytest.raises(ValueError):
+            model.conditional_mixture_weights(1.7, [0.2])
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -46,6 +46,17 @@ class TestFitMle:
         with pytest.raises(ValueError):
             trip.fit_mle(np.array([[1.0, np.nan]]), 1, 1)
 
+    def test_rejects_non_integral_sizes(self):
+        data = np.random.default_rng(1).normal(size=(8, 2))
+        config = trip.FitConfig(epochs=1)
+        for sizes in ((1.5, 1), (1, 2.5), (0, 1)):
+            with pytest.raises(ValueError, match="must be integers >= 1"):
+                trip.fit_mle(data, *sizes, config)
+        with pytest.raises(ValueError, match="must be integers >= 1"):
+            trip.fit_joint_mle(data, np.zeros((8, 1), dtype=int), [2.5], 1, 1, config)
+        # an integral float is a size
+        assert trip.fit_mle(data, 2.0, 1.0, config).component_counts == (2, 2)
+
     def test_single_gaussian_recovery(self):
         rng = np.random.default_rng(3)
         data = rng.normal([0.5, -1.0], [0.8, 1.3], size=(3000, 2))

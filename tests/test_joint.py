@@ -162,6 +162,20 @@ class TestLogJoint:
         with pytest.raises(ValueError):
             jm.log_joint({}, {0: 2})
 
+    def test_batched_rejects_blocks_of_unequal_rows(self):
+        rng = np.random.default_rng(9)
+        jm = random_joint_model(rng, [2, 2], [2])
+        with pytest.raises(ValueError, match="one n for every block"):
+            jm.log_joints(range(2), np.zeros((2, 2)), np.zeros((3, 1), dtype=int))
+
+    def test_batched_columns_are_views_of_the_callers_arrays(self):
+        rng = np.random.default_rng(9)
+        jm = random_joint_model(rng, [2, 2, 2], [2, 3])
+        z, attrs = rng.normal(size=(4, 3)), np.zeros((4, 2), dtype=int)
+        cols = jm._table.columns((range(3), z), (range(3, 5), attrs))
+        for v, p in enumerate(jm.permutation.tolist().index(v) for v in range(5)):
+            assert np.shares_memory(cols[p], z if v < 3 else attrs)
+
     @pytest.mark.parametrize("dims", [[7], [-1], [3], [0, 0], [999], [0.5]])
     def test_batched_rejects_bad_latent_dims(self, dims):
         # an unchecked index would drop its column and silently sum it out;
@@ -214,6 +228,15 @@ def test_non_integral_categorical_cells_rejected():
     assert cs.log_marginal({0: 1.0}) == cs.log_marginal({0: 1})
     assert cs.log_marginal({0: -1, 1: 2}) == cs.log_marginal({1: 2})
     assert jm.log_joint({0: 0.1}, {0: -1}) == jm.log_joint({0: 0.1})
+
+
+def test_negative_sample_count_rejected():
+    # one check in the table's sampler, for all three models
+    jm = random_joint_model(np.random.default_rng(24), [2, 2], [2])
+    for sample in (jm.trip.sample_batch, jm.trip.cores.sample_batch, jm.sample_given_attrs_batch):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            sample(-1, rng=0)
+        assert sample(0, rng=0).shape[0] == 0
 
 
 class TestAttrGivenZ:
@@ -370,3 +393,14 @@ class TestJointFitting:
             trip.fit_joint_mle(
                 np.zeros((10, 1)), np.full((10, 1), 5), [2], 1, 1, trip.FitConfig(epochs=1)
             )
+        # the fit takes the cells of its model's table: a 1.7 label is no
+        # category, and a nan latent no real value
+        z, y = np.linspace(-1.0, 1.0, 10)[:, None], np.zeros((10, 1))
+        labels, latents = y.copy(), z.copy()
+        labels[3], latents[4] = 1.7, np.nan
+        epochs = []
+        for cells in ((z, labels), (latents, y)):
+            with pytest.raises(ValueError, match="column [01]: "):
+                trip.fit_joint_mle(*cells, [2], 1, 1, trip.FitConfig(epochs=1),
+                                   on_epoch=lambda e, nll: epochs.append(e))
+        assert epochs == []

@@ -10,7 +10,8 @@ tree and compare::
 
 The ``trip`` imported is whichever one ``PYTHONPATH`` finds first. The list
 covers the samplers with and without fixed cells, batched evaluation with
-``-1`` cells, the two benchmark shapes, small fits, the gradient, and the
+``-1`` cells and integer latents, the two benchmark shapes, small fits (with
+labels as ints, integral floats and nested lists), the gradient, and the
 stdout (and written model files) of ``trip fit``, ``sample`` and ``logprob``.
 """
 
@@ -86,6 +87,9 @@ def continuous_outputs():
         [model.conditional_mixture_weights(k, x[0, :k]) for k in range(5)])
     yield "continuous.conditional_resample", np.array(
         [model.conditional_resample(x[i], [0, 3], rng=i) for i in range(8)])
+    yield "continuous.conditional_resample_int64_dims", np.array(
+        [model.conditional_resample(x[i], np.array([4, 1], dtype=np.int64), rng=i)
+         for i in range(8)])
     logp, grad = trip.grad_log_density(model, x[0])
     yield "continuous.grad_log_density", np.append(flat_grad(grad), logp)
     scores = np.arange(8.0)
@@ -104,6 +108,8 @@ def joint_outputs():
     yield "joint.sample_given_attrs_batch_given", jm.sample_given_attrs_batch(
         32, {0: 1, 2: 0}, rng=8)
     yield "joint.sample_given_attrs", jm.sample_given_attrs({1: 2}, rng=9)
+    z_int = np.random.default_rng(12).integers(-2, 3, size=(16, 2))
+    yield "joint.log_joints_int_latents", jm.log_joints([2, 0], z_int, attrs)
 
 
 def bench_shape_outputs():
@@ -126,10 +132,12 @@ def fit_outputs():
     yield "fit_mle.params", trip.param_vector(fitted)
     labels = (data[:, :2] > 0).astype(int)
     labels[rng.random(labels.shape) < 0.4] = -1
-    jm = trip.fit_joint_mle(data, labels, [2, 2], 2, 2, config)
-    yield "fit_joint_mle.params", np.concatenate(
-        [trip.param_vector(jm.trip), *(a.ravel() for a in jm.attribute_cores)])
-    yield "fit_joint_mle.permutation", jm.permutation
+    fits = {"": labels, ".float_labels": labels.astype(float), ".list_labels": labels.tolist()}
+    for name, cells in fits.items():
+        jm = trip.fit_joint_mle(data, cells, [2, 2], 2, 2, config)
+        yield f"fit_joint_mle{name}.params", np.concatenate(
+            [trip.param_vector(jm.trip), *(a.ravel() for a in jm.attribute_cores)])
+        yield f"fit_joint_mle{name}.permutation", jm.permutation
 
 
 def run_cli(argv: list[str]) -> str:
