@@ -157,9 +157,10 @@ def _read_rows(path: str, has_header: bool):
     return header, rows
 
 
-def _parse_cell(cell: str, card: int | None, missing: str) -> "float | int":
+def _parse_cell(cell: str, card: int | None, missing: str | None) -> "float | int":
     """A real cell (``card`` None) as a finite float; a categorical cell as an
-    integer in 0..card-1, or -1 for the missing token."""
+    integer in 0..card-1, or -1 for the missing token. Flag values are cells
+    too, with no missing token."""
     if card is None:
         try:
             value = float(cell)
@@ -198,19 +199,21 @@ def _parse_cells(rows, columns: list[tuple[int, int | None]], missing: str) -> n
     return np.fromiter(cells(), dtype, count=shape[0] * shape[1]).reshape(shape)
 
 
+def _flag_cells(flag: str, tokens: list[str], card: int | None) -> list:
+    """The values of ``flag``, each read by :func:`_parse_cell` as a cell of ``card``."""
+    try:
+        return [_parse_cell(tok, card, None) for tok in tokens]
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+
+
 def _parse_index_list(text: str, what: str, bound: int) -> list[int]:
-    """Distinct comma-separated indices, each in 0..bound-1."""
+    """Distinct comma-separated indices, each a categorical cell of cardinality ``bound``."""
     if not text.strip():
         return []
-    try:
-        out = [int(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad {what}: {text!r}") from exc
+    out = _flag_cells(what, text.split(","), bound)
     if len(set(out)) != len(out):
         raise UsageError(f"duplicate entries in {what}: {text!r}")
-    for i in out:
-        if not 0 <= i < bound:
-            raise UsageError(f"{what} index {i} out of range for {bound} columns")
     return out
 
 
@@ -232,8 +235,9 @@ def _cmd_fit(args) -> int:
         )
     if not latent_cols:
         raise UsageError("no latent columns left after --attr-cols")
-    latents = _parse_cells(rows, [(i, None) for i in latent_cols], args.missing_token)
-    attrs = _parse_cells(rows, [(i, MAX_CATEGORIES) for i in attr_cols], args.missing_token)
+    cells = _parse_cells(rows, [(i, MAX_CATEGORIES if i in attr_cols else None)
+                                for i in range(ncols)], args.missing_token)
+    latents, attrs = cells[:, latent_cols], cells[:, attr_cols]
 
     # attribute columns with no observed value carry no information: drop them
     seen = (attrs >= 0).any(axis=0)
@@ -280,20 +284,13 @@ def _parse_given(text: str, columns) -> dict[int, int]:
             raise UsageError(f"bad --given entry {token!r}, expected name=value")
         name, _, value = token.partition("=")
         name = name.strip()
-        try:
-            value = int(value)
-        except ValueError as exc:
-            raise UsageError(f"bad --given value in {token!r}") from exc
         if name not in index:
             known = ", ".join(index) or "none on this model"
             raise UsageError(f"unknown attribute or variable {name!r} (known: {known})")
         j = index[name]
-        if not 0 <= value < columns[j][1]:
-            raise UsageError(f"--given {name}={value} out of range "
-                             f"(cardinality {columns[j][1]})")
         if j in out:
             raise UsageError(f"duplicate --given entry for {name!r}")
-        out[j] = value
+        out[j] = _flag_cells(f"--given {name}", [value], columns[j][1])[0]
     return out
 
 
@@ -307,12 +304,9 @@ def _resample_steps(args, view: _View, rng):
         raise UsageError("--resample-dims requires --from")
     d = len(view.columns)
     dims = _parse_index_list(args.resample_dims, "--resample-dims", d)
-    try:
-        start = [float(tok) for tok in args.start.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad --from: {args.start!r}") from exc
-    if len(start) != d or not np.all(np.isfinite(start)):
-        raise UsageError(f"--from must list {d} finite values")
+    start = _flag_cells("--from", args.start.split(","), None)
+    if len(start) != d:
+        raise UsageError(f"--from must list {d} values")
     current = np.asarray(start, dtype=float)
     for _ in range(args.n):
         current = view.resample(current, dims, rng=rng)

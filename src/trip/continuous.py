@@ -231,10 +231,9 @@ class TripModel:
         """Component probabilities of dimension ``k`` given values of 0..k-1."""
         k = ring.column(k, self.d)
         # the component of dimension k is a categorical position observed at
-        # each of its values in turn, one row per value
+        # each of its values in turn, one row per value; prefix cells are shared
         count = self.component_counts[k]
-        cols = [None if col is None else np.full(count, col[0])
-                for col in self._table.columns((range(k), [prefix]))]
+        cols = self._table.columns((range(k), [prefix]))
         cols[k] = np.arange(count)
         positions = self._ring[:k] + [self._cores._ring[k]] + self._ring[k + 1 :]
         logw = chain_logtrace(ring.items(positions, cols), count)

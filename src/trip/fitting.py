@@ -25,7 +25,7 @@ from .continuous import GaussianPosition, TripModel, gaussian_logpdf
 from .errors import DegenerateDistributionError, DivergenceError
 from .gradients import _flat, _split, _weighted_chain_grad
 from .joint import JointModel, _check_permutation, make_permutation
-from .ring import Categorical, Table
+from .ring import Categorical, Table, at_least
 
 EpochCallback = Callable[[int, float], None]
 
@@ -46,10 +46,9 @@ class FitConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.reinit_period_epochs < 0:
-            raise ValueError("reinit_period_epochs must be >= 0")
+        self.epochs = at_least(self.epochs, 1, "epochs")
+        self.batch_size = at_least(self.batch_size, 1, "batch_size")
+        self.reinit_period_epochs = at_least(self.reinit_period_epochs, 0, "reinit_period_epochs")
 
 
 class _Adam:
@@ -188,10 +187,9 @@ def fit_joint_mle(
     attributes = np.asarray(attributes)
     if attributes.ndim != 2 or attributes.shape[0] != latents.shape[0]:
         raise ValueError("attributes must be (n, c) aligned with latents")
-    sizes = [n_components, core_size, *cardinalities]
-    if not all(float(s).is_integer() and s >= 1 for s in sizes):  # an integral float counts
-        raise ValueError("n_components, core_size and cardinalities must be integers >= 1")
-    n_components, core_size, *cards = (int(s) for s in sizes)
+    n_components, core_size, *cards = (
+        at_least(s, 1, "n_components, core_size and cardinalities")
+        for s in [n_components, core_size, *cardinalities])
     if attributes.shape[1] != len(cards):
         raise ValueError("one cardinality per attribute column required")
 

@@ -186,9 +186,7 @@ def kl_and_elbo_mc(
         raise ValueError(f"q_mean/q_std must have length d={model.d}")
     if not np.all(q_std > 0.0):
         raise ValueError("q_std must be positive")
-    num_samples = int(num_samples)
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
+    num_samples = ring.at_least(num_samples, 1, "num_samples")
     gen = _as_rng(rng)
     eps = gen.standard_normal((num_samples, model.d))
     z = q_mean[None, :] + eps * q_std[None, :]

@@ -32,9 +32,7 @@ def make_permutation(d: int, c: int, seed: "int | np.random.Generator") -> np.nd
     Entries ``0..d-1`` are latent dimensions, ``d..d+c-1`` attributes; the
     array lists variable ids by ring position. Deterministic under the seed.
     """
-    if d < 0 or c < 0:
-        raise ValueError("d and c must be non-negative")
-    return _as_rng(seed).permutation(d + c)
+    return _as_rng(seed).permutation(ring.at_least(d, 0, "d") + ring.at_least(c, 0, "c"))
 
 
 def _check_permutation(permutation: Sequence[int], total: int) -> np.ndarray:

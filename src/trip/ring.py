@@ -29,12 +29,15 @@ through the table of its ring. The table checks one or more ``(dims, values)``
 blocks in place, whichever entry point they came through: each block's shape
 ``(n, len(dims))``, then duplicate or out-of-range columns, then each cell by
 the kind of its position. A categorical cell is an integer in ``-1..C-1`` (an
-integral float counts); a real cell is a finite float.
+integral float counts); a real cell is a finite float. A count, such as the
+number of rows to draw, epochs or sizes, follows one rule too (:func:`at_least`):
+an integer (again, an integral float counts) no less than its least value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -204,14 +207,13 @@ class Table:
     def sample(self, entries: Sequence, n: int, gen: np.random.Generator) -> np.ndarray:
         """:func:`sample` on one entry per table column: :data:`DRAW`, ``None``
         (summed out) or a fixed cell. Returns the draws in table order."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        n = at_least(n, 0, "n")
         fixed = [j for j, e in enumerate(entries) if e is not DRAW and e is not None]
         cols = self.columns((fixed, [[entries[j] for j in fixed]]))
         for j, e in enumerate(entries):
             if e is DRAW:
                 cols[self.ring_of[j]] = DRAW
-        return sample(self.positions, cols, int(n), gen)[:, self.ring_of]
+        return sample(self.positions, cols, n, gen)[:, self.ring_of]
 
 
 def column(k, count: int) -> int:
@@ -219,6 +221,14 @@ def column(k, count: int) -> int:
     if k != int(k) or not 0 <= k < count:
         raise ValueError(f"index {k} is not a column in 0..{count - 1}")
     return int(k)
+
+
+def at_least(x, least: int, what: str) -> int:
+    """``x`` as an int; raises ValueError unless it is integral (an integral
+    float counts) and ``>= least``."""
+    if not (isinstance(x, Integral) or isinstance(x, Real) and float(x).is_integer()) or x < least:
+        raise ValueError(f"{what}: counts must be integers >= {least}, got {x!r}")
+    return int(x)
 
 
 def entries(cells: Mapping[int, object], count: int, absent) -> list:

@@ -392,6 +392,20 @@ FIT_ATTR = ["fit", "--data", "{joint_rows}", "--attr-cols", "2", "--components",
         (FIT + ["--data", "{latin1}"], 2, "data error:"),
         (["inspect", "--model", "{latin1}"], 2, "model error:"),
         (["sample", "--model", "{cont3}", "-n", "2", "--seed", "-1"], 1, "usage error:"),
+        # flag values are cells: an empty or non-integer --given value, a repeated
+        # index, a non-finite real and a non-integer index in a list
+        (["sample", "--model", "{joint}", "-n", "2", "--seed", "0", "--given", "attr0="], 1,
+         "usage error:"),
+        (["sample", "--model", "{joint}", "-n", "2", "--seed", "0", "--given", "attr0=x"], 1,
+         "usage error:"),
+        (RESAMPLE + ["--resample-dims", "0,0", "--from", "1,2,3"], 1, "usage error:"),
+        (RESAMPLE + ["--resample-dims", "0", "--from", "1,nan,2"], 1, "usage error:"),
+        (["logprob", "--model", "{cont3}", "--data", "{data}", "--marginal-dims", "1,x"], 1,
+         "usage error:"),
+        # fit reads every cell of a row in one pass, so line 1's bad attribute
+        # is reported before line 2's bad latent
+        (["fit", "--data", "{bad_rows}", "--attr-cols", "2", "--components", "1",
+          "--core-size", "1", "--out", "{out}"], 2, "data error: line 1:"),
     ],
     ids=[
         "sample-n", "fit-components", "fit-core-size", "fit-epochs", "fit-batch-size", "fit-lr",
@@ -400,12 +414,14 @@ FIT_ATTR = ["fit", "--data", "{joint_rows}", "--attr-cols", "2", "--components",
         "logprob-attribute-past-int64", "fit-attribute-past-int64", "fit-attribute-7-pib",
         "fit-attribute-over-cap", "fit-core-size-71-pib",
         "logprob-not-utf8", "fit-not-utf8", "inspect-not-utf8", "sample-seed-negative",
+        "given-empty-value", "given-not-integer", "resample-repeated", "from-nan",
+        "marginal-not-integer", "fit-first-bad-line",
     ],
 )
 def test_bad_input_ends_in_exit_code(argv, code, prefix, tmp_path, capsys):
     rng = np.random.default_rng(12)
     names = ("cont3", "joint", "data", "joint_rows", "huge_attr", "huge_card", "over_cap", "latin1",
-             "outdir", "out")
+             "bad_rows", "outdir", "out")
     paths = {name: str(tmp_path / name) for name in names}
     (tmp_path / "outdir").mkdir()
     save_model(random_trip_model(rng, [2, 2, 2]), paths["cont3"])
@@ -416,6 +432,7 @@ def test_bad_input_ends_in_exit_code(argv, code, prefix, tmp_path, capsys):
     # a cardinality of 1e15 would ask for a 7 PiB core; the category cap refuses its cell
     write_csv(tmp_path / "huge_card", [[0.1, 0.2, 1], [0.3, 0.4, 1000000000000000]])
     write_csv(tmp_path / "over_cap", [[0.1, 1], [0.3, 70000]])
+    write_csv(tmp_path / "bad_rows", [[0.1, 0.2, 70000], [0.3, "x", 1], [0.5, 0.6, 0]])
     (tmp_path / "latin1").write_bytes("0.5,0.25,caf\u00e9\n".encode("latin-1"))
     got, _, err = run(capsys, *[arg.format(**paths) for arg in argv])
     assert got == code

@@ -37,6 +37,15 @@ class TestFitConfig:
             trip.FitConfig(epochs=0)
         with pytest.raises(ValueError):
             trip.FitConfig(batch_size=0)
+        # counts are refused, not truncated, when they are not integers
+        for field in ("epochs", "batch_size", "reinit_period_epochs"):
+            for value in (1.5, 2.5, -1, "2"):
+                with pytest.raises(ValueError, match=f"{field}: counts must be integers"):
+                    trip.FitConfig(**{field: value})
+        # an integral float or a numpy integer is a count, stored as an int
+        config = trip.FitConfig(epochs=2.0, batch_size=np.int64(4), reinit_period_epochs=1.0)
+        values = (config.epochs, config.batch_size, config.reinit_period_epochs)
+        assert values == (2, 4, 1) and all(type(v) is int for v in values)
 
 
 class TestFitMle:

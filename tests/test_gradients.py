@@ -289,3 +289,9 @@ class TestKlElbo:
             kl_and_elbo_mc(model, [0.0], [-1.0], lambda z: 0.0, 10, rng=0)
         with pytest.raises(ValueError):
             kl_and_elbo_mc(model, [0.0], [1.0], lambda z: 0.0, 0, rng=0)
+        # a count is not truncated: 2.9 samples is not 2
+        with pytest.raises(ValueError, match="num_samples: counts must be integers >= 1"):
+            kl_and_elbo_mc(model, [0.0], [1.0], lambda z: 0.0, 2.9, rng=0)
+        same = [kl_and_elbo_mc(model, [0.0], [1.0], lambda z: 0.0, n, rng=0)
+                for n in (5, 5.0, np.int64(5))]
+        assert same[0] == same[1] == same[2]

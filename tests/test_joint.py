@@ -48,7 +48,9 @@ def oracle_log_joint(model, z_obs, attrs):
 
 class TestMakePermutation:
     def test_golden_value(self):
-        np.testing.assert_array_equal(trip.make_permutation(3, 2, 7), [2, 0, 4, 1, 3])
+        # an integral float or a numpy integer counts as d
+        for d in (3, 3.0, np.int64(3)):
+            np.testing.assert_array_equal(trip.make_permutation(d, 2, 7), [2, 0, 4, 1, 3])
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
@@ -62,6 +64,11 @@ class TestMakePermutation:
     def test_is_bijection(self):
         perm = trip.make_permutation(6, 4, 99)
         assert sorted(perm.tolist()) == list(range(10))
+
+    def test_rejects_bad_counts(self):
+        for d, c in ((2.5, 1), (1, 0.5), (-1, 2), (2, -1)):
+            with pytest.raises(ValueError, match="counts must be integers >= 0"):
+                trip.make_permutation(d, c, 0)
 
 
 class TestConstruction:
@@ -234,9 +241,14 @@ def test_negative_sample_count_rejected():
     # one check in the table's sampler, for all three models
     jm = random_joint_model(np.random.default_rng(24), [2, 2], [2])
     for sample in (jm.trip.sample_batch, jm.trip.cores.sample_batch, jm.sample_given_attrs_batch):
-        with pytest.raises(ValueError, match="n must be >= 0"):
+        with pytest.raises(ValueError, match="n: counts must be integers >= 0"):
             sample(-1, rng=0)
+        # a count is not truncated: 2.5 rows is no count at all
+        with pytest.raises(ValueError, match="n: counts must be integers >= 0"):
+            sample(2.5, rng=0)
         assert sample(0, rng=0).shape[0] == 0
+        # an integral float or a numpy integer is a count
+        np.testing.assert_array_equal(sample(2.0, rng=0), sample(np.int64(2), rng=0))
 
 
 class TestAttrGivenZ:

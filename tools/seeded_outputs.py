@@ -11,7 +11,8 @@ tree and compare::
 The ``trip`` imported is whichever one ``PYTHONPATH`` finds first. The list
 covers the samplers with and without fixed cells, batched evaluation with
 ``-1`` cells and integer latents, the two benchmark shapes, small fits (with
-labels as ints, integral floats and nested lists), the gradient, and the
+labels as ints, integral floats and nested lists), counts given as numpy
+integers or integral floats, the gradient, the KL estimate, and the
 stdout (and written model files) of ``trip fit``, ``sample`` and ``logprob``.
 """
 
@@ -74,12 +75,14 @@ def discrete_outputs():
     yield "discrete.sample_batch", cs.sample_batch(64, rng=1)
     yield "discrete.sample_batch_given", cs.sample_batch(64, {1: 1, 4: 0}, rng=2)
     yield "discrete.sample_given", cs.sample({0: 2}, rng=3)
+    yield "discrete.sample_batch_int64_n", cs.sample_batch(np.int64(5), rng=1)
 
 
 def continuous_outputs():
     model = random_trip(20, 5, 3, 3)
     x = model.sample_batch(32, rng=4)
     yield "continuous.sample_batch", x
+    yield "continuous.sample_batch_int64_n", model.sample_batch(np.int64(5), rng=4)
     yield "continuous.log_densities", model.log_densities(range(5), x)
     yield "continuous.log_densities_marginal", model.log_densities([4, 1], x[:, [4, 1]])
     yield "continuous.log_density", model.log_density({0: 0.3, 2: -1.0})
@@ -94,6 +97,13 @@ def continuous_outputs():
     yield "continuous.grad_log_density", np.append(flat_grad(grad), logp)
     scores = np.arange(8.0)
     yield "continuous.reinforce_grad", flat_grad(trip.reinforce_grad(model, x[:8], scores))
+    est = trip.kl_and_elbo_mc(model, x[1], np.full(5, 0.7), lambda z: float(z.sum()),
+                              np.int64(50), rng=5)
+    yield "continuous.kl_and_elbo_mc_int64_samples", np.array([est["kl"], est["elbo"]])
+    wide = random_trip(21, 6, 4, 3)
+    z = wide.sample_batch(1, rng=6)[0]
+    yield "continuous.mixture_weights_d6", np.concatenate(
+        [wide.conditional_mixture_weights(k, z[:k]) for k in range(6)])
 
 
 def joint_outputs():
@@ -108,6 +118,8 @@ def joint_outputs():
     yield "joint.sample_given_attrs_batch_given", jm.sample_given_attrs_batch(
         32, {0: 1, 2: 0}, rng=8)
     yield "joint.sample_given_attrs", jm.sample_given_attrs({1: 2}, rng=9)
+    yield "joint.sample_given_attrs_batch_int64_n", jm.sample_given_attrs_batch(
+        np.int64(5), {0: 1}, rng=8)
     z_int = np.random.default_rng(12).integers(-2, 3, size=(16, 2))
     yield "joint.log_joints_int_latents", jm.log_joints([2, 0], z_int, attrs)
 
@@ -130,6 +142,15 @@ def fit_outputs():
     config = trip.FitConfig(learning_rate=0.02, epochs=3, batch_size=32, seed=1)
     fitted = trip.fit_mle(data, 2, 2, config)
     yield "fit_mle.params", trip.param_vector(fitted)
+    # counts given as numpy integers, and as an integral float, which a tree
+    # that cannot take it reports by its exception instead of the parameters
+    for name, epochs in ((".int64_counts", np.int64(2)), (".float_epochs", 2.0)):
+        try:
+            counts = trip.FitConfig(learning_rate=0.02, epochs=epochs,
+                                    batch_size=np.int64(4), seed=1)
+            yield f"fit_mle{name}.params", trip.param_vector(trip.fit_mle(data, 2, 2, counts))
+        except TypeError as exc:
+            yield f"fit_mle{name}.params", f"{type(exc).__name__}: {exc}"
     labels = (data[:, :2] > 0).astype(int)
     labels[rng.random(labels.shape) < 0.4] = -1
     fits = {"": labels, ".float_labels": labels.astype(float), ".list_labels": labels.tolist()}
